@@ -223,6 +223,171 @@ let plain_proxy =
     enable_admission = false;
   }
 
+(* --- the knob schema ----------------------------------------------- *)
+
+type kind = Count | Number | Duration | Fraction | Bytes | Toggle
+
+type range = Positive | Non_negative | Unit_open | Unit
+
+type knob = {
+  field : string;
+  kind : kind;
+  range : range;
+  plan : (string * string) option;
+  unit : string;
+  get : t -> float;
+  set : t -> float -> t;
+}
+
+let knob ?plan ?unit kind range field get set =
+  let unit =
+    match (unit, kind) with
+    | Some unit, _ -> unit
+    | None, Duration -> "s"
+    | None, Bytes -> " bytes"
+    | None, _ -> ""
+  in
+  { field; kind; range; plan; unit; get; set }
+
+let int_knob ~plan ?unit kind range field get set =
+  knob ~plan ?unit kind range field
+    (fun c -> float_of_int (get c))
+    (fun c v -> set c (int_of_float v))
+
+(* A toggle travels as 1 / 0, which always sits in [Unit]. *)
+let toggle ~plan field get set =
+  knob ~plan Toggle Unit field (fun c -> if get c then 1.0 else 0.0) (fun c v -> set c (v <> 0.0))
+
+(* Provisionable knobs come first, in the order [nakika plan explain]
+   prints them; the rest are node-only and carry no plan spelling. *)
+let knobs =
+  [
+    int_knob ~plan:("capacity", "admission") ~unit:" slots" Count Positive "admission_capacity"
+      (fun c -> c.admission_capacity) (fun c v -> { c with admission_capacity = v });
+    knob ~plan:("capacity", "target") Duration Positive "admission_target"
+      (fun c -> c.admission_target) (fun c v -> { c with admission_target = v });
+    knob ~plan:("capacity", "interval") Duration Positive "admission_interval"
+      (fun c -> c.admission_interval) (fun c v -> { c with admission_interval = v });
+    int_knob ~plan:("capacity", "fuel") Count Positive "script_max_fuel"
+      (fun c -> c.script_max_fuel) (fun c v -> { c with script_max_fuel = v });
+    int_knob ~plan:("capacity", "heap") Bytes Positive "script_max_heap"
+      (fun c -> c.script_max_heap) (fun c v -> { c with script_max_heap = v });
+    int_knob ~plan:("capacity", "cache") Bytes Non_negative "cache_bytes"
+      (fun c -> c.cache_bytes) (fun c v -> { c with cache_bytes = v });
+    toggle ~plan:("diffusion", "enabled") "enable_diffusion"
+      (fun c -> c.enable_diffusion) (fun c v -> { c with enable_diffusion = v });
+    knob ~plan:("diffusion", "low") Fraction Unit "diffusion_low_water"
+      (fun c -> c.diffusion_low_water) (fun c v -> { c with diffusion_low_water = v });
+    knob ~plan:("diffusion", "high") Fraction Unit "diffusion_high_water"
+      (fun c -> c.diffusion_high_water) (fun c v -> { c with diffusion_high_water = v });
+    int_knob ~plan:("diffusion", "fanout") Count Positive "diffusion_fanout"
+      (fun c -> c.diffusion_fanout) (fun c v -> { c with diffusion_fanout = v });
+    knob ~plan:("diffusion", "timeout") Duration Positive "diffusion_offload_timeout"
+      (fun c -> c.diffusion_offload_timeout)
+      (fun c v -> { c with diffusion_offload_timeout = v });
+    knob ~plan:("diffusion", "fetch-timeout") Duration Positive "diffusion_fetch_timeout"
+      (fun c -> c.diffusion_fetch_timeout) (fun c v -> { c with diffusion_fetch_timeout = v });
+    knob ~plan:("diffusion", "staleness") Duration Positive "diffusion_staleness"
+      (fun c -> c.diffusion_staleness) (fun c v -> { c with diffusion_staleness = v });
+    toggle ~plan:("hotspots", "enabled") "enable_hotspots"
+      (fun c -> c.enable_hotspots) (fun c v -> { c with enable_hotspots = v });
+    knob ~plan:("hotspots", "threshold") ~unit:" req/s" Number Positive "hotspot_threshold"
+      (fun c -> c.hotspot_threshold) (fun c v -> { c with hotspot_threshold = v });
+    int_knob ~plan:("hotspots", "replicas") Count Positive "hotspot_replicas"
+      (fun c -> c.hotspot_replicas) (fun c v -> { c with hotspot_replicas = v });
+    knob ~plan:("hotspots", "ttl") Duration Positive "hotspot_ttl"
+      (fun c -> c.hotspot_ttl) (fun c v -> { c with hotspot_ttl = v });
+    knob ~plan:("hotspots", "halflife") Duration Positive "hotspot_halflife"
+      (fun c -> c.hotspot_halflife) (fun c v -> { c with hotspot_halflife = v });
+    int_knob ~plan:("breaker", "failures") Count Positive "breaker_failures"
+      (fun c -> c.breaker_failures) (fun c v -> { c with breaker_failures = v });
+    knob ~plan:("breaker", "error-rate") Fraction Unit_open "breaker_error_rate"
+      (fun c -> c.breaker_error_rate) (fun c v -> { c with breaker_error_rate = v });
+    knob ~plan:("breaker", "window") Duration Positive "breaker_window"
+      (fun c -> c.breaker_window) (fun c v -> { c with breaker_window = v });
+    knob ~plan:("breaker", "cooldown") Duration Positive "breaker_cooldown"
+      (fun c -> c.breaker_cooldown) (fun c v -> { c with breaker_cooldown = v });
+    knob ~plan:("breaker", "max") Duration Positive "breaker_max_cooldown"
+      (fun c -> c.breaker_max_cooldown) (fun c v -> { c with breaker_max_cooldown = v });
+    knob ~plan:("quarantine", "base") Duration Positive "termination_penalty"
+      (fun c -> c.termination_penalty) (fun c v -> { c with termination_penalty = v });
+    knob ~plan:("quarantine", "max") Duration Positive "quarantine_max"
+      (fun c -> c.quarantine_max) (fun c v -> { c with quarantine_max = v });
+    knob ~plan:("quarantine", "decay") Duration Non_negative "quarantine_decay"
+      (fun c -> c.quarantine_decay) (fun c v -> { c with quarantine_decay = v });
+    knob ~plan:("deadline", "request") Duration Non_negative "request_deadline"
+      (fun c -> c.request_deadline) (fun c v -> { c with request_deadline = v });
+    toggle ~plan:("deadline", "hedge") "enable_hedging"
+      (fun c -> c.enable_hedging) (fun c v -> { c with enable_hedging = v });
+    knob ~plan:("deadline", "hedge-rate") Fraction Unit_open "hedge_rate"
+      (fun c -> c.hedge_rate) (fun c v -> { c with hedge_rate = v });
+    knob ~plan:("deadline", "retry_budget") Fraction Unit "retry_budget_ratio"
+      (fun c -> c.retry_budget_ratio) (fun c v -> { c with retry_budget_ratio = v });
+    knob Duration Positive "origin_timeout"
+      (fun c -> c.origin_timeout) (fun c v -> { c with origin_timeout = v });
+    knob Duration Positive "peer_timeout"
+      (fun c -> c.peer_timeout) (fun c v -> { c with peer_timeout = v });
+    knob Duration Positive "control_interval"
+      (fun c -> c.control_interval) (fun c v -> { c with control_interval = v });
+    knob Duration Non_negative "control_timeout"
+      (fun c -> c.control_timeout) (fun c v -> { c with control_timeout = v });
+    knob Duration Positive "script_ttl"
+      (fun c -> c.script_ttl) (fun c v -> { c with script_ttl = v });
+    knob Duration Non_negative "negative_ttl"
+      (fun c -> c.negative_ttl) (fun c v -> { c with negative_ttl = v });
+    knob Duration Positive "dht_ttl"
+      (fun c -> c.dht_ttl) (fun c v -> { c with dht_ttl = v });
+    knob Duration Non_negative "stale_if_error"
+      (fun c -> c.stale_if_error) (fun c v -> { c with stale_if_error = v });
+    knob Duration Non_negative "anti_entropy_interval"
+      (fun c -> c.anti_entropy_interval) (fun c v -> { c with anti_entropy_interval = v });
+    knob Duration Non_negative "health_report_interval"
+      (fun c -> c.health_report_interval) (fun c v -> { c with health_report_interval = v });
+  ]
+
+type order = {
+  low : knob;
+  high : knob;
+  strict : bool;
+  code : string;
+  says : (string -> string -> string, unit, string) format;
+}
+
+let orderings =
+  let knob field = List.find (fun k -> k.field = field) knobs in
+  let order low high strict code says = { low = knob low; high = knob high; strict; code; says } in
+  [
+    order "diffusion_low_water" "diffusion_high_water" true "inverted-waters"
+      "diffusion waters: low (%s) must be below high (%s)";
+    order "breaker_cooldown" "breaker_max_cooldown" false "breaker-cooldown-exceeds-max"
+      "breaker cooldown (%s) exceeds the backoff cap (%s)";
+    order "termination_penalty" "quarantine_max" false "quarantine-base-exceeds-max"
+      "quarantine base window (%s) exceeds the cap (%s)";
+  ]
+
+let in_range range v =
+  match range with
+  | Positive -> v > 0.0
+  | Non_negative -> v >= 0.0
+  | Unit_open -> v > 0.0 && v <= 1.0
+  | Unit -> v >= 0.0 && v <= 1.0
+
+let describe_range ?(percent = false) range =
+  let bound x = if percent then Printf.sprintf "%g%%" (100.0 *. x) else Printf.sprintf "%g" x in
+  match range with
+  | Positive -> "must be positive"
+  | Non_negative -> "must not be negative"
+  | Unit_open -> Printf.sprintf "must be in (%s, %s]" (bound 0.0) (bound 1.0)
+  | Unit -> Printf.sprintf "must be in [%s, %s]" (bound 0.0) (bound 1.0)
+
+let ordered o ~low ~high = if o.strict then low < high else low <= high
+
+let show k v =
+  match k.kind with
+  | Toggle -> if v <> 0.0 then "on" else "off"
+  | Count | Bytes -> Printf.sprintf "%d%s" (int_of_float v) k.unit
+  | Number | Duration | Fraction -> Printf.sprintf "%g%s" v k.unit
+
 (* The config checker core. Node construction refuses configs with
    findings, and the provisioning compiler (lib/nk_provision) runs the
    same function over every config it lowers — a plan that verifies can
@@ -236,62 +401,20 @@ let plain_proxy =
 let validate t =
   let problems = ref [] in
   let reject fmt = Printf.ksprintf (fun m -> problems := m :: !problems) fmt in
-  let positive name v = if v <= 0.0 then reject "%s must be positive (got %g)" name v in
-  let non_negative name v = if v < 0.0 then reject "%s must not be negative (got %g)" name v in
-  if t.admission_capacity <= 0 then
-    reject "admission_capacity must be positive (got %d)" t.admission_capacity;
-  positive "admission_target" t.admission_target;
-  positive "admission_interval" t.admission_interval;
-  if t.script_max_fuel <= 0 then
-    reject "script_max_fuel must be positive (got %d)" t.script_max_fuel;
-  if t.script_max_heap <= 0 then
-    reject "script_max_heap must be positive (got %d)" t.script_max_heap;
-  if t.cache_bytes < 0 then reject "cache_bytes must not be negative (got %d)" t.cache_bytes;
-  positive "origin_timeout" t.origin_timeout;
-  positive "peer_timeout" t.peer_timeout;
-  non_negative "request_deadline" t.request_deadline;
-  if t.hedge_rate <= 0.0 || t.hedge_rate > 1.0 then
-    reject "hedge_rate must be in (0, 1] (got %g)" t.hedge_rate;
-  if t.retry_budget_ratio < 0.0 || t.retry_budget_ratio > 1.0 then
-    reject "retry_budget_ratio must be in [0, 1] (got %g)" t.retry_budget_ratio;
-  positive "control_interval" t.control_interval;
-  non_negative "control_timeout" t.control_timeout;
-  positive "script_ttl" t.script_ttl;
-  non_negative "negative_ttl" t.negative_ttl;
-  positive "dht_ttl" t.dht_ttl;
-  non_negative "stale_if_error" t.stale_if_error;
-  non_negative "anti_entropy_interval" t.anti_entropy_interval;
-  non_negative "health_report_interval" t.health_report_interval;
-  positive "termination_penalty" t.termination_penalty;
-  positive "quarantine_max" t.quarantine_max;
-  if t.termination_penalty > t.quarantine_max then
-    reject "termination_penalty (%g) exceeds quarantine_max (%g)" t.termination_penalty
-      t.quarantine_max;
-  if t.breaker_failures <= 0 then
-    reject "breaker_failures must be positive (got %d)" t.breaker_failures;
-  if t.breaker_error_rate <= 0.0 || t.breaker_error_rate > 1.0 then
-    reject "breaker_error_rate must be in (0, 1] (got %g)" t.breaker_error_rate;
-  positive "breaker_window" t.breaker_window;
-  positive "breaker_cooldown" t.breaker_cooldown;
-  if t.breaker_cooldown > t.breaker_max_cooldown then
-    reject "breaker_cooldown (%g) exceeds breaker_max_cooldown (%g)" t.breaker_cooldown
-      t.breaker_max_cooldown;
-  non_negative "diffusion_low_water" t.diffusion_low_water;
-  if t.diffusion_low_water >= t.diffusion_high_water then
-    reject "diffusion_low_water (%g) must be below diffusion_high_water (%g)"
-      t.diffusion_low_water t.diffusion_high_water;
-  if t.diffusion_high_water > 1.0 then
-    reject "diffusion_high_water must be at most 1 (got %g)" t.diffusion_high_water;
-  if t.diffusion_fanout <= 0 then
-    reject "diffusion_fanout must be positive (got %d)" t.diffusion_fanout;
-  positive "diffusion_offload_timeout" t.diffusion_offload_timeout;
-  positive "diffusion_fetch_timeout" t.diffusion_fetch_timeout;
-  positive "diffusion_staleness" t.diffusion_staleness;
-  positive "hotspot_threshold" t.hotspot_threshold;
-  if t.hotspot_replicas <= 0 then
-    reject "hotspot_replicas must be positive (got %d)" t.hotspot_replicas;
-  positive "hotspot_ttl" t.hotspot_ttl;
-  positive "hotspot_halflife" t.hotspot_halflife;
+  List.iter
+    (fun k ->
+      let v = k.get t in
+      if not (in_range k.range v) then
+        reject "%s %s (got %g)" k.field (describe_range k.range) v)
+    knobs;
+  List.iter
+    (fun o ->
+      let low = o.low.get t and high = o.high.get t in
+      if not (ordered o ~low ~high) then
+        reject "%s (%g) %s %s (%g)" o.low.field low
+          (if o.strict then "must be below" else "exceeds")
+          o.high.field high)
+    orderings;
   let share_total = ref 0.0 in
   List.iter
     (fun (pattern, f) ->
@@ -300,7 +423,7 @@ let validate t =
         reject "site_shares[%s]: share must be in (0, 1] (got %g)" pattern f
       else begin
         share_total := !share_total +. f;
-        if f *. float_of_int t.admission_capacity < 0.5 then
+        if Nk_resource.Shares.slots ~capacity:t.admission_capacity f < 1 then
           reject "site_shares[%s]: share %g%% of capacity %d rounds to zero slots" pattern
             (100.0 *. f) t.admission_capacity
       end)

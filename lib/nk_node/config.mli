@@ -176,6 +176,57 @@ val plain_proxy : t
 (** The micro-benchmarks' "Proxy" baseline: no pipeline, no DHT, no
     resource controls. *)
 
+(** {1 The knob schema}
+
+    One typed descriptor per range-checked scalar knob. Node
+    validation, the plan verifier, lowering and [nakika plan explain]
+    all read {!knobs} and {!orderings}, so a knob means the same thing
+    to each of them. *)
+
+type kind =
+  | Count (** whole number *)
+  | Number (** bare real, e.g. req/s *)
+  | Duration (** seconds; plans write 500ms, 2s, 5m *)
+  | Fraction (** plans write 0.3 or 30% *)
+  | Bytes (** plans write 64mb or a byte count *)
+  | Toggle (** on / off, carried as 1 / 0 *)
+
+type range = Positive | Non_negative | Unit_open (** (0, 1] *) | Unit (** [0, 1] *)
+
+type knob = {
+  field : string; (** the [t] field, as node messages name it *)
+  kind : kind;
+  range : range;
+  plan : (string * string) option; (** [(section, key)]; [None]: node-only *)
+  unit : string; (** suffix {!show} prints after the value *)
+  get : t -> float; (** ints exact, toggles 1 / 0 *)
+  set : t -> float -> t;
+}
+
+val knobs : knob list
+(** Provisionable knobs first, in the order [nakika plan explain] lists them. *)
+
+type order = {
+  low : knob;
+  high : knob;
+  strict : bool; (** [low < high] rather than [low <= high] *)
+  code : string; (** the plan verifier's diagnostic code *)
+  says : (string -> string -> string, unit, string) format;
+      (** the plan verifier's wording, given both values as {!show} prints them *)
+}
+
+val orderings : order list
+
+val in_range : range -> float -> bool
+
+val describe_range : ?percent:bool -> range -> string
+(** ["must be positive"], ["must be in (0, 1]"], ...; [~percent:true]
+    writes fractional bounds as percents. *)
+
+val ordered : order -> low:float -> high:float -> bool
+
+val show : knob -> float -> string
+
 val validate : t -> string list
 (** The config checker core: every finding is a human-readable
     description of a value that is wrong under any interpretation —
@@ -186,4 +237,5 @@ val validate : t -> string list
     round to zero slots. [[]] means the config is accepted.
     {!Node.create} refuses configs with findings, and the provisioning
     compiler ([Nk_provision]) runs the same checks over every config it
-    lowers — verification and rejection share one core. *)
+    lowers — verification and rejection share one core. The scalar
+    range and ordering checks are {!knobs} and {!orderings}. *)

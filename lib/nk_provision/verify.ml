@@ -3,14 +3,14 @@
    position-carrying [Nk_analysis.Diagnostic]s; nothing mutates the
    plan. Passes:
 
-   - {b units}: every setting key is known, carries the right unit
-     kind, and sits in its legal range (percents in (0,100], durations
-     positive, counts at least 1); site patterns are well-formed.
-   - {b ordering}: effective low/high diffusion waters, breaker
-     cooldown vs max, and quarantine base vs max are ordered — checked
-     against the block's own settings with [Config.default] filling
-     unset knobs, so [low = 0.9] alone is caught against the default
-     high water.
+   - {b units}: every setting key is known, carries its knob's unit
+     kind, and sits in the range the node enforces for that knob
+     ([Config.knobs]); site patterns are well-formed.
+   - {b ordering}: each [Config.orderings] pair (diffusion waters,
+     breaker cooldown vs max, quarantine base vs max) is ordered —
+     checked against the block's own settings with [Config.default]
+     filling unset knobs, so [low = 0.9] alone is caught against the
+     default high water.
    - {b feasibility}: per node block, the shares declared by site rules
      sum to at most 100% and each reserves at least one whole slot of
      that block's admission capacity. Share clauses must name concrete
@@ -29,98 +29,51 @@ module Config = Nk_node.Config
 
 (* --- the knob vocabulary -------------------------------------------- *)
 
-type kind =
-  | Count (* positive integer: slots, fanout, failures, fuel *)
-  | Duration_pos
-  | Duration_nonneg
-  | Water (* fraction of the pressure scale: 0.3 or 30% *)
-  | Rate (* strictly positive fraction: 50% or 0.5 *)
-  | Bytes (* 64mb or a bare byte count *)
-  | Toggle
+(* Every node-level setting the language can express is a knob of
+   [Config.knobs] with a plan spelling; the verifier, the lowering and
+   the node read the same descriptor, so they cannot drift apart. *)
+let provisionable =
+  List.filter_map
+    (fun (k : Config.knob) -> Option.map (fun spelling -> (spelling, k)) k.Config.plan)
+    Config.knobs
 
-(* (section, key, kind, the Config knob it lowers to) — one row per
-   node-level setting the language can express. [Lower] consumes the
-   same table, so "what the verifier accepts" and "what the compiler
-   lowers" cannot drift apart. *)
-let vocabulary =
-  [
-    ("capacity", "admission", Count, "admission_capacity");
-    ("capacity", "target", Duration_pos, "admission_target");
-    ("capacity", "interval", Duration_pos, "admission_interval");
-    ("capacity", "fuel", Count, "script_max_fuel");
-    ("capacity", "heap", Bytes, "script_max_heap");
-    ("capacity", "cache", Bytes, "cache_bytes");
-    ("diffusion", "enabled", Toggle, "enable_diffusion");
-    ("diffusion", "low", Water, "diffusion_low_water");
-    ("diffusion", "high", Water, "diffusion_high_water");
-    ("diffusion", "fanout", Count, "diffusion_fanout");
-    ("diffusion", "timeout", Duration_pos, "diffusion_offload_timeout");
-    ("diffusion", "fetch-timeout", Duration_pos, "diffusion_fetch_timeout");
-    ("diffusion", "staleness", Duration_pos, "diffusion_staleness");
-    ("hotspots", "enabled", Toggle, "enable_hotspots");
-    ("hotspots", "threshold", Count, "hotspot_threshold");
-    ("hotspots", "replicas", Count, "hotspot_replicas");
-    ("hotspots", "ttl", Duration_pos, "hotspot_ttl");
-    ("hotspots", "halflife", Duration_pos, "hotspot_halflife");
-    ("breaker", "failures", Count, "breaker_failures");
-    ("breaker", "error-rate", Rate, "breaker_error_rate");
-    ("breaker", "window", Duration_pos, "breaker_window");
-    ("breaker", "cooldown", Duration_pos, "breaker_cooldown");
-    ("breaker", "max", Duration_pos, "breaker_max_cooldown");
-    ("quarantine", "base", Duration_pos, "termination_penalty");
-    ("quarantine", "max", Duration_pos, "quarantine_max");
-    ("quarantine", "decay", Duration_nonneg, "quarantine_decay");
-    ("deadline", "request", Duration_pos, "request_deadline");
-    ("deadline", "hedge", Toggle, "enable_hedging");
-    ("deadline", "hedge-rate", Rate, "hedge_rate");
-    ("deadline", "retry_budget", Rate, "retry_budget_ratio");
-  ]
+let sections =
+  List.fold_left
+    (fun acc ((section, _), _) -> if List.mem section acc then acc else acc @ [ section ])
+    [] provisionable
 
-let sections = [ "capacity"; "diffusion"; "hotspots"; "breaker"; "quarantine"; "deadline" ]
+let knob ~section ~key = List.assoc_opt (section, key) provisionable
 
-let knob_of ~section ~key =
-  List.find_map
-    (fun (s, k, _, knob) -> if s = section && k = key then Some knob else None)
-    vocabulary
+let expected = function
+  | Config.Count -> "a bare count"
+  | Config.Number -> "a bare number"
+  | Config.Duration -> "a duration (e.g. 500ms, 2s, 5m)"
+  | Config.Fraction -> "a fraction (0.3) or percent (30%)"
+  | Config.Bytes -> "a size (64mb) or byte count"
+  | Config.Toggle -> "on or off"
 
-let kind_of ~section ~key =
-  List.find_map
-    (fun (s, k, kind, _) -> if s = section && k = key then Some kind else None)
-    vocabulary
-
-(* Normalize a written value to the float the kind lowers to (flags to
-   0/1), or explain why it cannot. *)
-let normalize kind (v : Ast.value) =
-  let wrong expected = Error (Printf.sprintf "expected %s, got %s" expected (Ast.kind_label v)) in
-  match (kind, v) with
-  | Count, Ast.Number f ->
-    if Float.rem f 1.0 <> 0.0 then Error "expected a whole number"
-    else if f < 1.0 then Error "must be at least 1"
-    else Ok f
-  | Count, _ -> wrong "a bare count"
-  | Duration_pos, Ast.Duration s ->
-    if s <= 0.0 then Error "duration must be positive" else Ok s
-  | Duration_nonneg, Ast.Duration s ->
-    if s < 0.0 then Error "duration must not be negative" else Ok s
-  | (Duration_pos | Duration_nonneg), _ -> wrong "a duration (e.g. 500ms, 2s, 5m)"
-  | Water, Ast.Percent p ->
-    if p < 0.0 || p > 100.0 then Error "percent must be between 0% and 100%" else Ok (p /. 100.0)
-  | Water, Ast.Number f ->
-    if f < 0.0 || f > 1.0 then Error "a bare water level must be between 0 and 1" else Ok f
-  | Water, _ -> wrong "a fraction (0.3) or percent (30%)"
-  | Rate, Ast.Percent p ->
-    if p <= 0.0 || p > 100.0 then Error "percent must be in (0%, 100%]" else Ok (p /. 100.0)
-  | Rate, Ast.Number f ->
-    if f <= 0.0 || f > 1.0 then Error "a bare rate must be in (0, 1]" else Ok f
-  | Rate, _ -> wrong "a rate (0.5 or 50%)"
-  (* Byte caps lower through [int_of_float], so anything under a whole
-     byte would truncate to 0 — a cap the node refuses. Require >= 1. *)
-  | Bytes, Ast.Size b -> if b < 1.0 then Error "size must be at least one byte" else Ok b
-  | Bytes, Ast.Number b ->
-    if b < 1.0 then Error "byte count must be at least one byte" else Ok b
-  | Bytes, _ -> wrong "a size (64mb) or byte count"
-  | Toggle, Ast.Flag b -> Ok (if b then 1.0 else 0.0)
-  | Toggle, _ -> wrong "on or off"
+(* Normalize a written value to the float the knob holds (toggles to
+   1 / 0, sizes truncated to whole bytes as the int field will), then
+   hold it to the range the node enforces; or explain why not. *)
+let normalize kind range (v : Ast.value) =
+  let value =
+    match (kind, v) with
+    | Config.Count, Ast.Number f ->
+      if Float.is_integer f then Ok f else Error "expected a whole number"
+    | Config.Number, Ast.Number f -> Ok f
+    | Config.Duration, Ast.Duration s -> Ok s
+    | Config.Fraction, Ast.Percent p -> Ok (p /. 100.0)
+    | Config.Fraction, Ast.Number f -> Ok f
+    | Config.Bytes, (Ast.Size b | Ast.Number b) -> Ok (Float.of_int (int_of_float b))
+    | Config.Toggle, Ast.Flag b -> Ok (if b then 1.0 else 0.0)
+    | _ -> Error (Printf.sprintf "expected %s, got %s" (expected kind) (Ast.kind_label v))
+  in
+  Result.bind value (fun f ->
+      if Config.in_range range f then Ok f
+      else
+        let percent = match v with Ast.Percent _ -> true | _ -> false in
+        Error
+          (Printf.sprintf "%s %s" (Ast.kind_label v) (Config.describe_range ~percent range)))
 
 (* A site pattern is an exact host, "*", or "*.suffix". *)
 let pattern_problem pattern =
@@ -148,6 +101,11 @@ let check_share_value v pos diags =
 
 let units_pass (plan : Ast.t) =
   let diags = ref [] in
+  let mismatch what kind range v pos =
+    match normalize kind range v with
+    | Ok _ -> ()
+    | Error why -> diags := D.error "unit-mismatch" pos "%s: %s" what why :: !diags
+  in
   List.iter
     (function
       | Ast.Node block ->
@@ -169,25 +127,21 @@ let units_pass (plan : Ast.t) =
             else
               List.iter
                 (fun (s : Ast.setting) ->
-                  match kind_of ~section:sec.Ast.section ~key:s.Ast.key with
+                  match knob ~section:sec.Ast.section ~key:s.Ast.key with
                   | None ->
                     let known =
                       List.filter_map
-                        (fun (sc, k, _, _) -> if sc = sec.Ast.section then Some k else None)
-                        vocabulary
+                        (fun ((sc, k), _) -> if sc = sec.Ast.section then Some k else None)
+                        provisionable
                     in
                     diags :=
                       D.error "unknown-key" s.Ast.key_pos "unknown %s setting %S (expected %s)"
                         sec.Ast.section s.Ast.key (String.concat ", " known)
                       :: !diags
-                  | Some kind -> (
-                    match normalize kind s.Ast.value with
-                    | Ok _ -> ()
-                    | Error why ->
-                      diags :=
-                        D.error "unit-mismatch" s.Ast.value_pos "%s.%s: %s" sec.Ast.section
-                          s.Ast.key why
-                        :: !diags))
+                  | Some k ->
+                    mismatch
+                      (Printf.sprintf "%s.%s" sec.Ast.section s.Ast.key)
+                      k.Config.kind k.Config.range s.Ast.value s.Ast.value_pos)
                 sec.Ast.settings)
           block.Ast.sections
       | Ast.Site rule ->
@@ -202,121 +156,69 @@ let units_pass (plan : Ast.t) =
           (fun clause ->
             match clause with
             | Ast.Share (v, pos) -> check_share_value v pos diags
-            | Ast.Fuel (v, pos) -> (
-              match normalize Count v with
-              | Ok _ -> ()
-              | Error why -> diags := D.error "unit-mismatch" pos "fuel cap: %s" why :: !diags)
-            | Ast.Heap (v, pos) -> (
-              match normalize Bytes v with
-              | Ok _ -> ()
-              | Error why -> diags := D.error "unit-mismatch" pos "heap cap: %s" why :: !diags)
+            | Ast.Fuel (v, pos) -> mismatch "fuel cap" Config.Count Config.Positive v pos
+            | Ast.Heap (v, pos) -> mismatch "heap cap" Config.Bytes Config.Positive v pos
             | Ast.Quarantine_window { base; base_pos; max_; max_pos } ->
-              (match normalize Duration_pos base with
-               | Ok _ -> ()
-               | Error why ->
-                 diags := D.error "unit-mismatch" base_pos "quarantine base: %s" why :: !diags);
-              (match normalize Duration_pos max_ with
-               | Ok _ -> ()
-               | Error why ->
-                 diags := D.error "unit-mismatch" max_pos "quarantine max: %s" why :: !diags))
+              mismatch "quarantine base" Config.Duration Config.Positive base base_pos;
+              mismatch "quarantine max" Config.Duration Config.Positive max_ max_pos)
           rule.Ast.clauses)
     plan.Ast.items;
   !diags
 
 (* --- ordering --------------------------------------------------------- *)
 
-(* The normalized value of [section.key] in this block, when present
-   and well-formed (malformed settings already carry a units error). *)
-let setting_value (block : Ast.node_block) ~section ~key =
-  List.find_map
+(* A node block's well-formed settings in source order, each with its
+   knob and normalized value (malformed settings already carry a units
+   error and lower to nothing). *)
+let settings (block : Ast.node_block) =
+  List.concat_map
     (fun (sec : Ast.section) ->
-      if sec.Ast.section <> section then None
-      else
-        List.find_map
-          (fun (s : Ast.setting) ->
-            if s.Ast.key <> key then None
-            else
-              match kind_of ~section ~key with
-              | None -> None
-              | Some kind -> (
-                match normalize kind s.Ast.value with
-                | Ok f -> Some (f, s.Ast.value_pos)
-                | Error _ -> None))
-          sec.Ast.settings)
+      List.filter_map
+        (fun (s : Ast.setting) ->
+          Option.bind (knob ~section:sec.Ast.section ~key:s.Ast.key) (fun (k : Config.knob) ->
+              match normalize k.Config.kind k.Config.range s.Ast.value with
+              | Ok v -> Some (k, v, s.Ast.value_pos)
+              | Error _ -> None))
+        sec.Ast.settings)
     block.Ast.sections
+
+(* The block's settings applied over [config] — the node-level half of
+   lowering, shared with the ordering and feasibility passes so they
+   judge exactly the values a node will run with. *)
+let apply_settings block config =
+  List.fold_left (fun config ((k : Config.knob), v, _) -> k.Config.set config v) config
+    (settings block)
 
 let ordering_pass (plan : Ast.t) =
   let diags = ref [] in
-  let check block ~section ~low_key ~high_key ~low_default ~high_default ~code ~what =
-    let low = setting_value block ~section ~key:low_key in
-    let high = setting_value block ~section ~key:high_key in
-    match (low, high) with
-    | None, None -> ()
-    | _ ->
-      let lv, lpos =
-        match low with Some (v, p) -> (v, Some p) | None -> (low_default, None)
-      in
-      let hv, hpos =
-        match high with Some (v, p) -> (v, Some p) | None -> (high_default, None)
-      in
-      if lv >= hv && not (section = "breaker" && lv = hv) then
-        (* breaker cooldown = max is legal (no backoff growth); waters
-           and quarantine windows must be strictly ordered. *)
-        let pos =
-          match (lpos, hpos) with
-          | Some p, _ -> p
-          | None, Some p -> p
-          | None, None -> block.Ast.node_pos
-        in
-        diags :=
-          D.error code pos "%s: %s (%g) must be below %s (%g)%s" what low_key lv high_key hv
-            (match (low, high) with
-             | Some _, None -> Printf.sprintf " (the default %s)" high_key
-             | None, Some _ -> Printf.sprintf " (the default %s)" low_key
-             | _ -> "")
-          :: !diags
-  in
-  let ok_or_default block ~section ~key ~default =
-    match setting_value block ~section ~key with Some (v, p) -> (v, Some p) | None -> (default, None)
-  in
   List.iter
     (fun (block : Ast.node_block) ->
-      check block ~section:"diffusion" ~low_key:"low" ~high_key:"high"
-        ~low_default:Config.default.Config.diffusion_low_water
-        ~high_default:Config.default.Config.diffusion_high_water ~code:"inverted-waters"
-        ~what:"diffusion waters";
-      (let cooldown, cpos =
-         ok_or_default block ~section:"breaker" ~key:"cooldown"
-           ~default:Config.default.Config.breaker_cooldown
-       in
-       let max_cd, mpos =
-         ok_or_default block ~section:"breaker" ~key:"max"
-           ~default:Config.default.Config.breaker_max_cooldown
-       in
-       if (cpos <> None || mpos <> None) && cooldown > max_cd then
-         let pos =
-           match (cpos, mpos) with Some p, _ -> p | _, Some p -> p | _ -> block.Ast.node_pos
-         in
-         diags :=
-           D.error "breaker-cooldown-exceeds-max" pos
-             "breaker cooldown (%gs) exceeds the backoff cap (%gs)" cooldown max_cd
-           :: !diags);
-      let base, bpos =
-        ok_or_default block ~section:"quarantine" ~key:"base"
-          ~default:Config.default.Config.termination_penalty
+      let written = settings block in
+      let config = apply_settings block Config.default in
+      let pos (k : Config.knob) =
+        List.fold_left
+          (fun acc ((set : Config.knob), _, p) ->
+            if set.Config.field = k.Config.field then Some p else acc)
+          None written
       in
-      let max_w, mpos =
-        ok_or_default block ~section:"quarantine" ~key:"max"
-          ~default:Config.default.Config.quarantine_max
+      let defaulted (k : Config.knob) =
+        match (pos k, k.Config.plan) with
+        | None, Some (_, key) -> Printf.sprintf " (the default %s)" key
+        | _ -> ""
       in
-      if (bpos <> None || mpos <> None) && base > max_w then
-        let pos =
-          match (bpos, mpos) with Some p, _ -> p | _, Some p -> p | _ -> block.Ast.node_pos
-        in
-        diags :=
-          D.error "quarantine-base-exceeds-max" pos
-            "quarantine base window (%gs) exceeds the cap (%gs)" base max_w
-          :: !diags)
+      List.iter
+        (fun (o : Config.order) ->
+          let low = o.Config.low.Config.get config and high = o.Config.high.Config.get config in
+          match (pos o.Config.low, pos o.Config.high) with
+          | (Some p, _ | None, Some p) when not (Config.ordered o ~low ~high) ->
+            diags :=
+              D.error o.Config.code p "%s%s%s"
+                (Printf.sprintf o.Config.says (Config.show o.Config.low low)
+                   (Config.show o.Config.high high))
+                (defaulted o.Config.low) (defaulted o.Config.high)
+              :: !diags
+          | _ -> ())
+        Config.orderings)
     (Ast.nodes plan);
   (* Per-site quarantine windows carry both bounds in one clause. *)
   List.iter
@@ -324,7 +226,10 @@ let ordering_pass (plan : Ast.t) =
       List.iter
         (function
           | Ast.Quarantine_window { base; base_pos; max_; max_pos = _ } -> (
-            match (normalize Duration_pos base, normalize Duration_pos max_) with
+            match
+              ( normalize Config.Duration Config.Positive base,
+                normalize Config.Duration Config.Positive max_ )
+            with
             | Ok b, Ok m when b > m ->
               diags :=
                 D.error "quarantine-base-exceeds-max" base_pos
@@ -389,13 +294,6 @@ let declared_share (rule : Ast.site_rule) =
       | _ -> None)
     rule.Ast.clauses
 
-(* Admission capacity a block would run with: its own setting, else the
-   compiled default. *)
-let block_capacity (block : Ast.node_block) =
-  match setting_value block ~section:"capacity" ~key:"admission" with
-  | Some (f, _) -> int_of_float f
-  | None -> Config.default.Config.admission_capacity
-
 let feasibility_pass (plan : Ast.t) =
   let diags = ref [] in
   let shares =
@@ -435,13 +333,17 @@ let feasibility_pass (plan : Ast.t) =
     | [] ->
       [ ("(default)", Config.default.Config.admission_capacity) ]
       (* no node block: shares apply to default-configured nodes *)
-    | blocks -> List.map (fun b -> (b.Ast.node_pattern, block_capacity b)) blocks
+    | blocks ->
+      List.map
+        (fun b ->
+          (b.Ast.node_pattern, (apply_settings b Config.default).Config.admission_capacity))
+        blocks
   in
   List.iter
     (fun (pattern, percent, pos) ->
       List.iter
         (fun (node_pattern, capacity) ->
-          if percent /. 100.0 *. float_of_int capacity < 0.5 then
+          if Nk_resource.Shares.slots ~capacity (percent /. 100.0) < 1 then
             diags :=
               D.error "share-rounds-to-zero" pos
                 "site %S: a %g%% share of node %S's admission capacity (%d slots) rounds to \

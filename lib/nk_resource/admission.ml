@@ -85,8 +85,7 @@ let shed_rate t =
 let fair_share t ~site =
   let declared = Shares.fraction t.shares ~site in
   match declared with
-  | Some f ->
-    max 1 (int_of_float ((f *. float_of_int t.capacity) +. 0.5))
+  | Some f -> max 1 (Shares.slots ~capacity:t.capacity f)
   | None ->
     let unreserved =
       if Shares.is_empty t.shares then float_of_int t.capacity

@@ -20,6 +20,8 @@ let matches ~pattern site =
 let fraction t ~site =
   List.find_map (fun (pattern, f) -> if matches ~pattern site then Some f else None) t
 
+let slots ~capacity fraction = int_of_float ((fraction *. float_of_int capacity) +. 0.5)
+
 let reserved t = List.fold_left (fun acc (_, f) -> acc +. f) 0.0 t
 
 let to_list t = t

@@ -33,6 +33,12 @@ val fraction : t -> site:string -> float option
 (** The declared share for [site]: the first matching entry's
     fraction, [None] when no entry matches. *)
 
+val slots : capacity:int -> float -> int
+(** [slots ~capacity fraction]: the whole queue slots a [fraction] of
+    [capacity] reserves, rounded half up (30% of 64 is 19). The one
+    rounding rule admission, node-config validation, the plan verifier
+    and [nakika plan explain] share; a share that gets [0] here starves. *)
+
 val reserved : t -> float
 (** Sum of all declared fractions (what feasibility bounds by 1.0). *)
 

@@ -699,7 +699,10 @@ let test_config_rejects_negative_timeouts () =
     { Config.default with Config.origin_timeout = -1.0 }
     "origin_timeout";
   expect_rejected "zero peer timeout" { Config.default with Config.peer_timeout = 0.0 }
-    "peer_timeout"
+    "peer_timeout";
+  expect_rejected "negative quarantine decay"
+    { Config.default with Config.quarantine_decay = -1.0 }
+    "quarantine_decay"
 
 let test_config_rejects_penalty_above_quarantine_max () =
   expect_rejected "penalty above cap"

@@ -112,6 +112,28 @@ let test_deadline_rate_range () =
     "node \"*\" {\n  deadline { hedge-rate = 130% }\n}\n"
     [ "2:27: error[unit-mismatch]: deadline.hedge-rate: percent must be in (0%, 100%]" ]
 
+let test_node_legal_values_verify () =
+  (* Values [Node.create] accepts must verify and lower unchanged: 0
+     switches the deadline and the retry budget off, a cache may be 0
+     bytes, and a hotspot threshold is any positive rate. *)
+  let r =
+    P.compile
+      "node \"*\" {\n\
+      \  deadline { request = 0s; retry_budget = 0 }\n\
+      \  capacity { cache = 0 }\n\
+      \  hotspots { threshold = 0.5 }\n\
+       }\n"
+  in
+  Alcotest.(check (list string)) "no diagnostics" [] (diag_strings r);
+  match r.P.lowered with
+  | [ l ] ->
+    let c = l.Lower.config in
+    Alcotest.(check (float 0.0)) "request" 0.0 c.Config.request_deadline;
+    Alcotest.(check (float 0.0)) "retry_budget" 0.0 c.Config.retry_budget_ratio;
+    Alcotest.(check int) "cache" 0 c.Config.cache_bytes;
+    Alcotest.(check (float 0.0)) "threshold" 0.5 c.Config.hotspot_threshold
+  | _ -> Alcotest.fail "expected exactly one lowered config"
+
 (* --- golden diagnostics: units pass ----------------------------------- *)
 
 let test_units_unknown_section () =
@@ -300,14 +322,40 @@ let test_explain_mentions_lowering () =
 
 (* --- the end-to-end guarantee (qcheck) -------------------------------- *)
 
-(* Random plans over the real grammar: values are drawn from mixed
-   ranges (valid and invalid), so some plans verify and some do not.
-   The property under test is one-sided: whenever the verifier says
-   yes, the lowered configs must pass [Config.validate] — the exact
-   checker [Node.create] enforces. *)
+(* Every plan spelling the schema declares, with its knob. *)
+let provisionable =
+  List.filter_map
+    (fun (k : Config.knob) -> Option.map (fun spelling -> (spelling, k)) k.Config.plan)
+    Config.knobs
+
+(* A value inside [k]'s legal range, written in plan syntax, with the
+   float the knob must hold once it is lowered. *)
+let gen_in_range (k : Config.knob) =
+  QCheck.Gen.(
+    let lo = match k.Config.range with Config.Positive | Config.Unit_open -> 1 | _ -> 0 in
+    match k.Config.kind with
+    | Config.Count -> map (fun n -> (string_of_int n, float_of_int n)) (int_range 1 100_000)
+    | Config.Number ->
+      map
+        (fun n -> (Printf.sprintf "%d.%02d" (n / 100) (n mod 100), float_of_int n /. 100.0))
+        (int_range lo 100_000)
+    | Config.Duration ->
+      map (fun n -> (Printf.sprintf "%dms" n, float_of_int n /. 1000.0)) (int_range lo 600_000)
+    | Config.Fraction ->
+      map (fun p -> (Printf.sprintf "%d%%" p, float_of_int p /. 100.0)) (int_range lo 100)
+    | Config.Bytes ->
+      map (fun n -> (Printf.sprintf "%dkb" n, float_of_int (n * 1024))) (int_range lo 65_536)
+    | Config.Toggle -> map (fun b -> ((if b then "on" else "off"), if b then 1.0 else 0.0)) bool)
+
+(* Random plans over the real grammar: every schema key may appear,
+   mostly with an in-range value and sometimes with one drawn from
+   mixed ranges and units, so some plans verify and some do not. The
+   property under test is one-sided: whenever the verifier says yes,
+   the lowered configs must pass [Config.validate] — the exact checker
+   [Node.create] enforces. *)
 let gen_plan =
   QCheck.Gen.(
-    let value =
+    let mixed =
       oneof
         [
           map (fun n -> Printf.sprintf "%d" n) (int_range (-2) 200);
@@ -318,37 +366,25 @@ let gen_plan =
           oneofl [ "on"; "off"; "0.3"; "0.9" ];
         ]
     in
-    let setting (section, key) =
-      map (fun v -> Printf.sprintf "    %s = %s" key v) value
-      >|= fun s -> (section, s)
-    in
-    let keys =
-      [
-        ("capacity", "admission"); ("capacity", "target"); ("capacity", "fuel");
-        ("capacity", "heap"); ("diffusion", "low"); ("diffusion", "high");
-        ("diffusion", "enabled"); ("breaker", "cooldown"); ("breaker", "max");
-        ("quarantine", "base"); ("quarantine", "max");
-      ]
-    in
     let node_block =
-      let* chosen = List.fold_right
-        (fun k acc ->
-          let* keep = bool in
-          let* rest = acc in
-          if keep then let* s = setting k in return (s :: rest) else return rest)
-        keys (return [])
-      in
-      let by_section section =
-        List.filter_map (fun (s, line) -> if s = section then Some line else None) chosen
+      let* chosen =
+        List.fold_right
+          (fun ((section, key), k) acc ->
+            let* keep = int_bound 3 in
+            let* value = frequency [ (4, map fst (gen_in_range k)); (1, mixed) ] in
+            let* rest = acc in
+            if keep = 0 then return ((section, Printf.sprintf "    %s = %s" key value) :: rest)
+            else return rest)
+          provisionable (return [])
       in
       let section name =
-        match by_section name with
-        | [] -> ""
-        | lines -> Printf.sprintf "  %s {\n%s\n  }\n" name (String.concat "\n" lines)
+        let lines =
+          List.filter_map (fun (s, line) -> if s = name then Some line else None) chosen
+        in
+        Printf.sprintf "  %s {\n%s\n  }\n" name (String.concat "\n" lines)
       in
-      return
-        (Printf.sprintf "node \"*\" {\n%s%s%s%s}\n" (section "capacity")
-           (section "diffusion") (section "breaker") (section "quarantine"))
+      let names = List.sort_uniq compare (List.map fst chosen) in
+      return (Printf.sprintf "node \"*\" {\n%s}\n" (String.concat "" (List.map section names)))
     in
     let site i =
       let* share = int_range 1 60 in
@@ -400,6 +436,47 @@ let accepted_plans_lower_to_valid_configs =
         r.P.lowered;
       true)
 
+(* The schema round trip: any in-range value for any provisionable
+   knob verifies (ordering findings against the defaults aside), lowers
+   to a config whose getter returns exactly that value, and shows up in
+   [explain] under its plan spelling. *)
+let knob_round_trip =
+  let ordering_codes = List.map (fun (o : Config.order) -> o.Config.code) Config.orderings in
+  QCheck.Test.make ~name:"every provisionable knob round-trips through lowering and explain"
+    ~count:300
+    (QCheck.make
+       ~print:(fun (((section, key), _), (text, _)) -> Printf.sprintf "%s.%s = %s" section key text)
+       QCheck.Gen.(
+         let* ((_, k) as entry) = oneofl provisionable in
+         let* value = gen_in_range k in
+         return (entry, value)))
+    (fun (((section, key), (k : Config.knob)), (text, v)) ->
+      let plan_text = Printf.sprintf "node \"*\" {\n  %s { %s = %s }\n}\n" section key text in
+      let r = P.check plan_text in
+      List.iter
+        (fun (d : D.t) ->
+          if not (List.mem d.D.code ordering_codes) then
+            QCheck.Test.fail_reportf "in-range value rejected: %s" (D.to_string d))
+        r.P.diagnostics;
+      match r.P.plan with
+      | None -> QCheck.Test.fail_reportf "did not parse:\n%s" plan_text
+      | Some plan ->
+        let lowered = Lower.lower plan in
+        let got = List.map (fun l -> k.Config.get l.Lower.config) lowered in
+        if got <> [ v ] then
+          QCheck.Test.fail_reportf "%s lowered to %s, expected %g" k.Config.field
+            (String.concat ", " (List.map string_of_float got)) v;
+        let line =
+          Printf.sprintf "  %s.%s -> %s = %s\n" section key k.Config.field (Config.show k v)
+        in
+        let text = Lower.explain plan lowered in
+        let n = String.length line in
+        let rec scan i =
+          i + n <= String.length text && (String.sub text i n = line || scan (i + 1))
+        in
+        if not (scan 0) then QCheck.Test.fail_reportf "explain lacks %S:\n%s" line text;
+        true)
+
 let lowering_is_deterministic =
   QCheck.Test.make ~name:"lowering is deterministic" ~count:100
     (QCheck.make ~print:(fun s -> s) gen_plan)
@@ -449,6 +526,7 @@ let suite =
     Alcotest.test_case "units: hotspots section lowers" `Quick test_hotspots_section;
     Alcotest.test_case "units: deadline section lowers" `Quick test_deadline_section;
     Alcotest.test_case "units: deadline rate range" `Quick test_deadline_rate_range;
+    Alcotest.test_case "units: node-legal values verify" `Quick test_node_legal_values_verify;
     Alcotest.test_case "units: unknown section" `Quick test_units_unknown_section;
     Alcotest.test_case "units: unknown key" `Quick test_units_unknown_key;
     Alcotest.test_case "units: kind mismatch" `Quick test_units_kind_mismatch;
@@ -478,5 +556,6 @@ let suite =
     Alcotest.test_case "explain: shows the lowering map" `Quick test_explain_mentions_lowering;
     QCheck_alcotest.to_alcotest accepted_plans_lower_to_valid_configs;
     QCheck_alcotest.to_alcotest lowering_is_deterministic;
+    QCheck_alcotest.to_alcotest knob_round_trip;
     Alcotest.test_case "plan config drives a real node" `Quick test_plan_drives_a_node;
   ]
