@@ -3,8 +3,7 @@ type stage_entry = {
   site : string;
   hash : string;
       (* SHA-256 of the script source — the name an offload envelope
-         ships instead of the body; "" for stages not built from a
-         fetched source *)
+         ships instead of the body *)
 }
 
 (* Proactive computation diffusion (C3PO): the neighbor pressure table
@@ -124,8 +123,13 @@ let start_request_span t name (req : Nk_http.Message.request) =
              ("site", Nk_http.Url.site req.Nk_http.Message.url);
            ])
 
-let finish_span t span =
-  match span with Some s -> Nk_telemetry.Tracer.finish t.tracer s | None -> ()
+(* Finish a span, setting [attrs] on it first (in order). *)
+let finish_span ?(attrs = []) t span =
+  match span with
+  | Some s ->
+    List.iter (fun (k, v) -> Nk_telemetry.Tracer.set_attr s k v) attrs;
+    Nk_telemetry.Tracer.finish t.tracer s
+  | None -> ()
 
 (* --- CPU charging (suspends the current cothread) ------------------ *)
 
@@ -187,10 +191,14 @@ let health t =
 (* Liveness epoch under fault injection: bumped by every crash/restart
    of this host. Offload envelopes and neighbor observations are
    guarded by it, so nothing from a pre-crash epoch can act. *)
-let incarnation t =
-  match Nk_sim.Net.faults t.net with
-  | Some plan -> Nk_faults.Plan.incarnation plan ~now:(now t) (name t)
+let host_incarnation net host =
+  match Nk_sim.Net.faults net with
+  | Some plan ->
+    Nk_faults.Plan.incarnation plan ~now:(Nk_sim.Sim.now (Nk_sim.Net.sim net))
+      (Nk_sim.Net.host_name host)
   | None -> 0
+
+let incarnation t = host_incarnation t.net t.host
 
 (* The scalar load signal diffusion decisions run on: admission queue
    delay (CPU backlog), shed rate, and admission-queue occupancy,
@@ -243,6 +251,14 @@ let hop_timeout t deadline timeout =
   | None -> timeout
   | Some d -> Nk_resource.Deadline.clamp d ~now:(now t) timeout
 
+(* [None] is no budget at all, which never runs out. *)
+let expired t deadline =
+  match deadline with Some d -> Nk_resource.Deadline.expired d ~now:(now t) | None -> false
+
+(* Carry the remaining budget on an outgoing hop. *)
+let stamp t deadline req =
+  Option.iter (fun d -> Nk_resource.Deadline.stamp d ~now:(now t) req) deadline
+
 (* An expired (or unservable-in-time) budget: count where it died and
    answer an immediate machine-readable 504 — the only useful thing
    left to do with the request is to say so quickly. *)
@@ -271,12 +287,16 @@ let await_fetch_opt t ~via ~timeout req =
       | Some host -> Nk_sim.Httpd.fetch_via t.web ~from:t.host ~via:host req deliver
       | None -> Nk_sim.Httpd.fetch t.web ~from:t.host req deliver)
 
+(* A timeout or a server error: what breakers count as failure and what
+   earns a retry or a stale fallback. *)
+let failed = function None -> true | Some r -> r.Nk_http.Message.status >= 500
+
 let insert_if_cacheable t req resp =
   if Nk_http.Message.cacheable req resp then begin
     let expiry = Nk_http.Message.response_expiry ~now:(now t) resp in
     Nk_cache.Http_cache.insert t.cache ~now:(now t) ~key:(cache_key req) ~expiry resp;
     match (expiry, t.dht) with
-    | Some expiry, Some dht when t.cfg.Config.enable_dht ->
+    | Some expiry, Some dht ->
       let ttl = Float.min t.cfg.Config.dht_ttl (expiry -. now t) in
       if ttl > 0.0 then
         ignore
@@ -284,6 +304,16 @@ let insert_if_cacheable t req resp =
              ~value:(name t) ~ttl)
     | _ -> ()
   end
+
+(* The upstream accounting step shared by the peer and origin tiers:
+   the breaker learns the attempt's outcome, and a success refills the
+   upstream class's retry budget. *)
+let account_upstream t breaker ~upstream ok =
+  if ok then begin
+    Nk_resource.Breaker.success breaker;
+    Option.iter (fun rb -> Nk_resource.Retry_budget.success rb ~upstream) t.retry_budget
+  end
+  else Nk_resource.Breaker.failure breaker
 
 (* --- tail tolerance: hedged replica fetches -------------------------- *)
 
@@ -330,19 +360,17 @@ let hedged_peer_fetch t ~hedge ~primary:(peer, peer_host) ~backup ~delay ~timeou
           resume (resp, server)
         end
       in
-      let settle_primary outcome =
+      let settle_primary ok =
         if not !primary_done then begin
           primary_done := true;
           if !resolved && !winner <> peer then begin
             let b = breaker_for t ("peer:" ^ peer) in
-            match outcome with
-            | `Ok -> Nk_resource.Breaker.success b
-            | `Failed -> Nk_resource.Breaker.failure b
+            if ok then Nk_resource.Breaker.success b else Nk_resource.Breaker.failure b
           end
         end
       in
       Nk_sim.Sim.schedule t.sim ~daemon:true ~delay:timeout (fun () ->
-          settle_primary `Failed;
+          settle_primary false;
           finish peer None);
       let started = now t in
       Nk_sim.Httpd.fetch_via t.web ~from:t.host ~via:peer_host req (fun r ->
@@ -350,7 +378,7 @@ let hedged_peer_fetch t ~hedge ~primary:(peer, peer_host) ~backup ~delay ~timeou
             ~labels:[ ("upstream", "peer") ]
             "fetch.latency"
             (now t -. started);
-          settle_primary (if r.Nk_http.Message.status >= 500 then `Failed else `Ok);
+          settle_primary (not (failed (Some r)));
           finish peer (Some r));
       match backup with
       | None -> ()
@@ -359,9 +387,7 @@ let hedged_peer_fetch t ~hedge ~primary:(peer, peer_host) ~backup ~delay ~timeou
           Nk_sim.Sim.schedule t.sim ~daemon:true ~delay (fun () ->
               if (not !resolved) && Nk_resource.Hedge.try_hedge hedge then begin
                 let breq = Nk_http.Message.copy_request req in
-                (match deadline with
-                 | Some d -> Nk_resource.Deadline.stamp d ~now:(now t) breq
-                 | None -> ());
+                stamp t deadline breq;
                 Nk_sim.Httpd.fetch_via t.web ~from:t.host ~via:backup_host breq
                   (fun r ->
                     if !resolved then Nk_resource.Hedge.cancelled hedge
@@ -369,323 +395,286 @@ let hedged_peer_fetch t ~hedge ~primary:(peer, peer_host) ~backup ~delay ~timeou
                     finish backup_name (Some r))
               end))
 
-(* Fetch content for [req]: proxy cache, then cooperative cache, then
-   origin. Runs inside a cothread. [span] is the request span child
-   spans attach to. [deadline] is the request's remaining budget: every
-   hop below runs under [min per-hop-timeout remaining]. *)
-let content_fetch t ?(allow_peers = true) ?span ?deadline
-    (req : Nk_http.Message.request) =
-  let key = cache_key req in
-  let cached =
-    in_span t ?parent:span "cache-lookup" [] (fun sp ->
-        let hit = Nk_cache.Http_cache.lookup t.cache ~now:(now t) ~key in
-        set_attr sp "hit" (string_of_bool (hit <> None));
-        (match hit with
-         | Some _ -> charge_cpu t t.cfg.Config.costs.Config.cache_hit
-         | None -> ());
-        hit)
-  in
-  match cached with
-  | Some resp -> resp
-  | None -> (
-    let from_origin () =
-      match deadline with
-      | Some d when Nk_resource.Deadline.expired d ~now:(now t) ->
-        deadline_expired_response t ~at:"origin"
-      | _ ->
-      in_span t ?parent:span "origin-fetch" [] (fun osp ->
-          (* A stale copy with a validator turns the refetch into a
-             conditional GET; a 304 refreshes the entry without moving the
-             body again (RFC 2616 revalidation under the web's
-             expiration-based consistency model). *)
+(* The content handler is three tiers, each under one span, tried in
+   order inside the request's cothread: the proxy cache, the
+   cooperative cache (peers announced in the DHT), the origin. [span]
+   is the request span the tiers' spans attach to; [deadline] is the
+   request's remaining budget, and every hop runs under
+   [min per-hop-timeout remaining]. *)
+
+(* Tier 1: the proxy cache. *)
+let cache_tier t ?span key =
+  in_span t ?parent:span "cache-lookup" [] (fun sp ->
+      let hit = Nk_cache.Http_cache.lookup t.cache ~now:(now t) ~key in
+      set_attr sp "hit" (string_of_bool (Option.is_some hit));
+      if Option.is_some hit then charge_cpu t t.cfg.Config.costs.Config.cache_hit;
+      hit)
+
+(* Tier 3: the origin. A stale copy with a validator turns the fetch
+   into a conditional GET, and a 304 refreshes the entry without moving
+   the body again (RFC 2616 revalidation under the web's
+   expiration-based consistency model). An open breaker short-circuits
+   the fetch; a failed attempt gets one budgeted retry; a failure with
+   nothing better degrades to a recently expired copy. *)
+let origin_tier t ?span ?deadline key req =
+  if expired t deadline then deadline_expired_response t ~at:"origin"
+  else
+    in_span t ?parent:span "origin-fetch" [] (fun osp ->
+        let req, validator =
           let stale = Nk_cache.Http_cache.lookup_stale t.cache ~key in
-          let validator =
-            match stale with
-            | Some old -> (
-              match Nk_http.Message.resp_header old "ETag" with
-              | Some etag -> Some (("If-None-Match", etag), old)
-              | None -> (
-                match Nk_http.Message.resp_header old "Last-Modified" with
-                | Some lm -> Some (("If-Modified-Since", lm), old)
-                | None -> None))
-            | None -> None
+          let header name = Option.bind stale (fun old -> Nk_http.Message.resp_header old name) in
+          match (header "ETag", header "Last-Modified") with
+          | None, None -> (req, None)
+          | etag, last_modified ->
+            let creq = Nk_http.Message.copy_request req in
+            (match etag with
+             | Some etag -> Nk_http.Message.set_req_header creq "If-None-Match" etag
+             | None ->
+               Option.iter (Nk_http.Message.set_req_header creq "If-Modified-Since") last_modified);
+            (creq, stale)
+        in
+        let fetch_once sp =
+          let resp =
+            await_fetch_opt t ~via:None
+              ~timeout:(hop_timeout t deadline t.cfg.Config.origin_timeout)
+              req
           in
-          let req, validator =
-            match validator with
-            | Some ((name, value), old) ->
-              let creq = Nk_http.Message.copy_request req in
-              Nk_http.Message.set_req_header creq name value;
-              (creq, Some old)
-            | None -> (req, None)
-          in
-          let do_fetch sp =
+          Nk_sim.Trace.incr t.trace "origin-fetches";
+          set_attr sp "status"
+            (match resp with
+             | Some r -> string_of_int r.Nk_http.Message.status
+             | None -> "timeout");
+          resp
+        in
+        let attempt () =
+          match validator with
+          | None -> fetch_once osp
+          | Some _ ->
+            in_span t ?parent:osp "revalidation" [] (fun rsp ->
+                let resp = fetch_once rsp in
+                set_attr rsp "not-modified"
+                  (string_of_bool
+                     (match resp with
+                      | Some r -> r.Nk_http.Message.status = 304
+                      | None -> false));
+                resp)
+        in
+        (* A tripped breaker short-circuits the fetch entirely: the dead
+           origin costs one probe per cooldown, not one [origin_timeout]
+           per request. The short-circuited request still degrades to a
+           stale copy when one exists. *)
+        let origin_key = "origin:" ^ Nk_http.Url.site req.Nk_http.Message.url in
+        let breaker = breaker_for t origin_key in
+        let resp, short_circuit =
+          match Nk_resource.Breaker.acquire breaker with
+          | `Reject retry ->
+            Nk_sim.Trace.incr t.trace "breaker-short-circuits";
+            set_attr osp "breaker" "open";
+            (None, Some retry)
+          | `Proceed ->
+            let resp = attempt () in
+            (* One budgeted retry: a transient origin failure gets a
+               second attempt only while the upstream's retry budget —
+               refilled by its own successes — grants a token and the
+               request's deadline still has time left. *)
             let resp =
-              await_fetch_opt t ~via:None
-                ~timeout:(hop_timeout t deadline t.cfg.Config.origin_timeout)
-                req
+              match t.retry_budget with
+              | Some rb
+                when failed resp
+                     && (not (expired t deadline))
+                     && Nk_resource.Retry_budget.try_retry rb ~upstream:origin_key ->
+                Nk_telemetry.Metrics.incr t.metrics
+                  ~labels:[ ("upstream", origin_key) ]
+                  "retry.attempts";
+                set_attr osp "retried" "true";
+                attempt ()
+              | _ -> resp
             in
-            Nk_sim.Trace.incr t.trace "origin-fetches";
-            set_attr sp "status"
-              (match resp with
-               | Some r -> string_of_int r.Nk_http.Message.status
-               | None -> "timeout");
-            resp
-          in
-          (* A tripped breaker short-circuits the fetch entirely: the
-             dead origin costs one probe per cooldown, not one
-             [origin_timeout] per request. The short-circuited request
-             still degrades to a stale copy when one exists. *)
-          let origin_key = "origin:" ^ Nk_http.Url.site req.Nk_http.Message.url in
-          let breaker = breaker_for t origin_key in
-          let resp, short_circuit =
-            match Nk_resource.Breaker.acquire breaker with
-            | `Reject retry ->
-              Nk_sim.Trace.incr t.trace "breaker-short-circuits";
-              set_attr osp "breaker" "open";
-              (None, Some retry)
-            | `Proceed ->
-              let attempt () =
-                match validator with
-                | None -> do_fetch osp
-                | Some _ ->
-                  in_span t ?parent:osp "revalidation" [] (fun rsp ->
-                      let resp = do_fetch rsp in
-                      set_attr rsp "not-modified"
-                        (string_of_bool
-                           (match resp with
-                            | Some r -> r.Nk_http.Message.status = 304
-                            | None -> false));
-                      resp)
-              in
-              let resp = attempt () in
-              (* One budgeted retry: a transient origin failure (timeout,
-                 5xx) gets a second attempt only while the upstream's
-                 retry budget — refilled by its own successes — grants a
-                 token and the request's deadline still has time left. *)
-              let failed =
-                match resp with
-                | None -> true
-                | Some r -> r.Nk_http.Message.status >= 500
-              in
-              let resp =
-                match t.retry_budget with
-                | Some rb
-                  when failed
-                       && (match deadline with
-                           | Some d -> not (Nk_resource.Deadline.expired d ~now:(now t))
-                           | None -> true)
-                       && Nk_resource.Retry_budget.try_retry rb ~upstream:origin_key ->
-                  Nk_telemetry.Metrics.incr t.metrics
-                    ~labels:[ ("upstream", origin_key) ]
-                    "retry.attempts";
-                  set_attr osp "retried" "true";
-                  attempt ()
-                | _ -> resp
-              in
-              (match resp with
-               | None -> Nk_resource.Breaker.failure breaker
-               | Some r when r.Nk_http.Message.status >= 500 ->
-                 Nk_resource.Breaker.failure breaker
-               | Some _ ->
-                 Nk_resource.Breaker.success breaker;
-                 (match t.retry_budget with
-                  | Some rb -> Nk_resource.Retry_budget.success rb ~upstream:origin_key
-                  | None -> ()));
-              (resp, None)
-          in
+            account_upstream t breaker ~upstream:origin_key (not (failed resp));
+            (resp, None)
+        in
+        match resp with
+        | Some resp when resp.Nk_http.Message.status < 500 -> (
+          match (resp.Nk_http.Message.status, validator) with
+          | 304, Some old ->
+            Nk_sim.Trace.incr t.trace "revalidations";
+            (match Nk_http.Message.response_expiry ~now:(now t) resp with
+             | Some expiry -> Nk_cache.Http_cache.refresh t.cache ~key ~expiry
+             | None -> Nk_cache.Http_cache.remove t.cache ~key);
+            old
+          | _ ->
+            insert_if_cacheable t req resp;
+            resp)
+        | _ -> (
           (* Stale-if-error (RFC 2616 §13.1.5 spirit): when the origin
              times out or answers with a server error, a cached copy
              that expired no more than [stale_if_error] seconds ago is
              better than failing the client. The [X-NaKika-Stale]
              header carries the staleness in seconds so clients and
              tests can tell degraded responses apart. *)
-          let degrade () =
+          match
             if t.cfg.Config.stale_if_error <= 0.0 then None
-            else
-              match Nk_cache.Http_cache.lookup_stale_entry t.cache ~key with
-              | Some (old, expiry)
-                when Nk_http.Status.is_success old.Nk_http.Message.status
-                     && now t -. expiry <= t.cfg.Config.stale_if_error ->
-                let age = Float.max 0.0 (now t -. expiry) in
-                Nk_http.Message.set_resp_header old "X-NaKika-Stale"
-                  (string_of_int (int_of_float age));
-                Nk_telemetry.Metrics.incr t.metrics "cache.stale_served";
-                Nk_sim.Trace.incr t.trace "stale-served";
-                set_attr osp "stale" "true";
-                Some old
-              | _ -> None
+            else Nk_cache.Http_cache.lookup_stale_entry t.cache ~key
+          with
+          | Some (old, expiry)
+            when Nk_http.Status.is_success old.Nk_http.Message.status
+                 && now t -. expiry <= t.cfg.Config.stale_if_error ->
+            let age = Float.max 0.0 (now t -. expiry) in
+            Nk_http.Message.set_resp_header old "X-NaKika-Stale"
+              (string_of_int (int_of_float age));
+            Nk_telemetry.Metrics.incr t.metrics "cache.stale_served";
+            Nk_sim.Trace.incr t.trace "stale-served";
+            set_attr osp "stale" "true";
+            old
+          | _ -> (
+            match (resp, short_circuit) with
+            | Some resp, _ -> resp
+            (* No stale fallback and an open breaker: fail fast with a
+               retry hint instead of pretending we waited. *)
+            | None, Some retry -> retry_after_response retry
+            | None, None -> Nk_http.Message.error_response 504)))
+
+(* Peer-served content comes from an untrusted node: check the §6
+   integrity headers and fall back on any violation. Content that never
+   carried integrity headers is unprotected (a producer opt-in);
+   stripping attacks are the probabilistic verifier's job, not this
+   check's. *)
+let verify_peer t ?span ~peer resp =
+  match t.cfg.Config.integrity_key with
+  | None -> true
+  | Some key ->
+    in_span t ?parent:span "integrity-verify" [] (fun vsp ->
+        match Nk_integrity.Integrity.verify ~key ~now:(now t) resp with
+        | Ok () ->
+          set_attr vsp "result" "ok";
+          true
+        | Error Nk_integrity.Integrity.Missing_headers ->
+          Nk_sim.Trace.incr t.trace "integrity-unverified";
+          set_attr vsp "result" "unverified";
+          true
+        | Error violation ->
+          Nk_sim.Trace.incr t.trace "integrity-violations";
+          set_attr vsp "result" "violation";
+          Logs.warn (fun m ->
+              m "[%s] integrity violation from %s: %s" (name t) peer
+                (Nk_integrity.Integrity.violation_to_string violation));
+          false)
+
+(* One peer hop under its "peer-fetch" span, hedged when hedging is on:
+   the verified, successful response (or [None]) and the peer that
+   served it. *)
+let fetch_from_peer t dht ?span ?deadline ~key ~peer ~peer_host ~rest req =
+  in_span t ?parent:span "peer-fetch" [ ("peer", peer) ] (fun psp ->
+      let peer_req = Nk_http.Message.copy_request req in
+      Nk_http.Message.set_req_header peer_req peer_header "1";
+      stamp t deadline peer_req;
+      let timeout = hop_timeout t deadline t.cfg.Config.peer_timeout in
+      let raw, served_by =
+        match t.hedge with
+        | None -> (await_fetch_opt t ~via:(Some peer_host) ~timeout peer_req, peer)
+        | Some hedge ->
+          (* The backup is the next live replica: the remaining
+             announced holders first, then the key's ring replica set
+             ([Ring.successors]). *)
+          Nk_resource.Hedge.note_primary hedge;
+          let backup =
+            rest @ Nk_overlay.Dht.replica_names dht ~key
+            |> List.find_opt (fun c -> c <> peer && c <> name t)
+            |> fun c ->
+            Option.bind c (fun c ->
+                Option.map (fun h -> (c, h)) (Nk_sim.Httpd.resolve t.web c))
           in
-          match resp with
-          | None -> (
-            match degrade () with
-            | Some old -> old
-            | None -> (
-              match short_circuit with
-              (* No stale fallback and an open breaker: fail fast with a
-                 retry hint instead of pretending we waited. *)
-              | Some retry -> retry_after_response retry
-              | None -> Nk_http.Message.error_response 504))
-          | Some resp when resp.Nk_http.Message.status >= 500 -> (
-            match degrade () with
-            | Some old -> old
-            | None -> resp)
-          | Some resp -> (
-            match (resp.Nk_http.Message.status, validator) with
-            | 304, Some old ->
-              Nk_sim.Trace.incr t.trace "revalidations";
-              (match Nk_http.Message.response_expiry ~now:(now t) resp with
-               | Some expiry -> Nk_cache.Http_cache.refresh t.cache ~key ~expiry
-               | None -> Nk_cache.Http_cache.remove t.cache ~key);
-              old
-            | _ ->
-              insert_if_cacheable t req resp;
-              resp))
-    in
-    match t.dht with
-    | Some dht when t.cfg.Config.enable_dht && allow_peers ->
-      let result =
-        in_span t ?parent:span "dht-lookup" [] (fun sp ->
-            let result = Nk_overlay.Dht.get dht ~now:(now t) ~from:(name t) ~key in
-            charge_cpu t
-              (float_of_int (max 1 result.Nk_overlay.Dht.hops)
-              *. t.cfg.Config.costs.Config.dht_per_hop);
-            set_attr sp "hops" (string_of_int result.Nk_overlay.Dht.hops);
-            set_attr sp "values" (string_of_int (List.length result.Nk_overlay.Dht.values));
-            result)
+          let delay = hedge_delay t ~timeout in
+          set_attr psp "hedge_delay" (Printf.sprintf "%.4f" delay);
+          let resp, server =
+            hedged_peer_fetch t ~hedge ~primary:(peer, peer_host) ~backup ~delay ~timeout
+              ~deadline peer_req
+          in
+          if server <> peer then set_attr psp "hedge_winner" server;
+          (resp, server)
       in
-      let peers =
-        List.filter (fun peer -> peer <> name t) result.Nk_overlay.Dht.values
-      in
-      (* Try up to two announced peers, each under [peer_timeout] (and
-         the request's remaining budget); a peer that times out, fails,
-         or serves tampered content falls through to the next candidate
-         and finally to the origin. *)
-      let rec try_peers budget candidates =
-        match candidates with
-        | _
-          when (match deadline with
-                | Some d -> Nk_resource.Deadline.expired d ~now:(now t)
-                | None -> false) ->
-          (* No budget left for a peer hop; [from_origin] answers the
-             machine-readable 504. *)
+      match raw with
+      | None ->
+        set_attr psp "timeout" "true";
+        (None, served_by)
+      | Some resp ->
+        let verified = verify_peer t ?span:psp ~peer resp in
+        set_attr psp "verified" (string_of_bool verified);
+        if verified && Nk_http.Status.is_success resp.Nk_http.Message.status then
+          (Some resp, served_by)
+        else (None, served_by))
+
+(* Tier 2: the cooperative cache. Try up to two peers the DHT announces
+   for [key], each under [peer_timeout] and the request's remaining
+   budget; a peer that times out, fails, or serves tampered content
+   falls through to the next candidate and finally to [from_origin]. *)
+let peer_tier t dht ?span ?deadline key req ~from_origin =
+  let result =
+    in_span t ?parent:span "dht-lookup" [] (fun sp ->
+        let result = Nk_overlay.Dht.get dht ~now:(now t) ~from:(name t) ~key in
+        charge_cpu t
+          (float_of_int (max 1 result.Nk_overlay.Dht.hops)
+          *. t.cfg.Config.costs.Config.dht_per_hop);
+        set_attr sp "hops" (string_of_int result.Nk_overlay.Dht.hops);
+        set_attr sp "values" (string_of_int (List.length result.Nk_overlay.Dht.values));
+        result)
+  in
+  let rec try_peers budget candidates =
+    match candidates with
+    (* No budget left for a peer hop: [from_origin] answers the
+       machine-readable 504. *)
+    | _ when expired t deadline -> from_origin ()
+    | [] -> from_origin ()
+    | _ when budget = 0 -> from_origin ()
+    | peer :: rest -> (
+      let peer_breaker = breaker_for t ("peer:" ^ peer) in
+      match Nk_resource.Breaker.acquire peer_breaker with
+      | `Reject _ ->
+        (* A peer behind an open breaker is skipped outright — and
+           without consuming the budget, so one dead peer doesn't halve
+           our cooperative-cache reach. *)
+        Nk_sim.Trace.incr t.trace "breaker-short-circuits";
+        try_peers budget rest
+      | `Proceed -> (
+        match Nk_sim.Httpd.resolve t.web peer with
+        | None ->
+          (* Release the (possibly half-open probe) slot we claimed. *)
+          Nk_resource.Breaker.failure peer_breaker;
           from_origin ()
-        | [] -> from_origin ()
-        | _ when budget = 0 -> from_origin ()
-        | peer :: rest -> (
-          let peer_breaker = breaker_for t ("peer:" ^ peer) in
-          match Nk_resource.Breaker.acquire peer_breaker with
-          | `Reject _ ->
-            (* A peer behind an open breaker is skipped outright — and
-               without consuming the budget, so one dead peer doesn't
-               halve our cooperative-cache reach. *)
-            Nk_sim.Trace.incr t.trace "breaker-short-circuits";
-            try_peers budget rest
-          | `Proceed -> (
-          match Nk_sim.Httpd.resolve t.web peer with
-          | None ->
-            (* Release the (possibly half-open probe) slot we claimed. *)
-            Nk_resource.Breaker.failure peer_breaker;
-            from_origin ()
-          | Some peer_host ->
-            Nk_sim.Trace.incr t.trace "dht-hits";
-            let peer_resp, served_by =
-              in_span t ?parent:span "peer-fetch" [ ("peer", peer) ] (fun psp ->
-                  let peer_req = Nk_http.Message.copy_request req in
-                  Nk_http.Message.set_req_header peer_req peer_header "1";
-                  (match deadline with
-                   | Some d -> Nk_resource.Deadline.stamp d ~now:(now t) peer_req
-                   | None -> ());
-                  let timeout = hop_timeout t deadline t.cfg.Config.peer_timeout in
-                  let raw, served_by =
-                    match t.hedge with
-                    | None ->
-                      (await_fetch_opt t ~via:(Some peer_host) ~timeout peer_req, peer)
-                    | Some hedge ->
-                      (* The backup is the next live replica: the
-                         remaining announced holders first, then the
-                         key's ring replica set ([Ring.successors]). *)
-                      Nk_resource.Hedge.note_primary hedge;
-                      let backup =
-                        rest @ Nk_overlay.Dht.replica_names dht ~key
-                        |> List.find_opt (fun c -> c <> peer && c <> name t)
-                        |> fun c ->
-                        Option.bind c (fun c ->
-                            Option.map
-                              (fun h -> (c, h))
-                              (Nk_sim.Httpd.resolve t.web c))
-                      in
-                      let delay = hedge_delay t ~timeout in
-                      set_attr psp "hedge_delay" (Printf.sprintf "%.4f" delay);
-                      let resp, server =
-                        hedged_peer_fetch t ~hedge ~primary:(peer, peer_host)
-                          ~backup ~delay ~timeout ~deadline peer_req
-                      in
-                      if server <> peer then set_attr psp "hedge_winner" server;
-                      (resp, server)
-                  in
-                  match raw with
-                  | None ->
-                    set_attr psp "timeout" "true";
-                    (None, served_by)
-                  | Some resp ->
-                    let verified =
-                      match t.cfg.Config.integrity_key with
-                      | None -> true
-                      | Some key ->
-                        (* Peer-served content comes from an untrusted node:
-                           check the §6 integrity headers and fall back to the
-                           origin on any violation. Content that never carried
-                           integrity headers is unprotected (a producer opt-in);
-                           stripping attacks are the probabilistic verifier's
-                           job, not this check's. *)
-                        in_span t ?parent:psp "integrity-verify" [] (fun vsp ->
-                            match Nk_integrity.Integrity.verify ~key ~now:(now t) resp with
-                            | Ok () ->
-                              set_attr vsp "result" "ok";
-                              true
-                            | Error Nk_integrity.Integrity.Missing_headers ->
-                              Nk_sim.Trace.incr t.trace "integrity-unverified";
-                              set_attr vsp "result" "unverified";
-                              true
-                            | Error violation ->
-                              Nk_sim.Trace.incr t.trace "integrity-violations";
-                              set_attr vsp "result" "violation";
-                              Logs.warn (fun m ->
-                                  m "[%s] integrity violation from %s: %s" (name t) peer
-                                    (Nk_integrity.Integrity.violation_to_string violation));
-                              false)
-                    in
-                    set_attr psp "verified" (string_of_bool verified);
-                    if verified && Nk_http.Status.is_success resp.Nk_http.Message.status
-                    then (Some resp, served_by)
-                    else (None, served_by))
-            in
-            (* Accounting goes to the arm that actually served (the
-               hedged backup may have won); on the unhedged path
-               [served_by = peer] and this is the pre-existing
-               behavior, breaker object included. *)
-            (match peer_resp with
-             | Some resp ->
-               Nk_resource.Breaker.success (breaker_for t ("peer:" ^ served_by));
-               (match t.retry_budget with
-                | Some rb -> Nk_resource.Retry_budget.success rb ~upstream:"peer"
-                | None -> ());
-               Nk_sim.Trace.incr t.trace "peer-fetches";
-               insert_if_cacheable t req resp;
-               resp
-             | None ->
-               Nk_resource.Breaker.failure (breaker_for t ("peer:" ^ served_by));
-               (* Trying the next candidate is a retry of the upstream
-                  class: under a retry budget it must find a token, or
-                  the chain collapses straight to the origin. *)
-               (match (t.retry_budget, rest) with
-                | Some rb, _ :: _ when budget > 1 ->
-                  if Nk_resource.Retry_budget.try_retry rb ~upstream:"peer" then
-                    try_peers (budget - 1) rest
-                  else from_origin ()
-                | _ -> try_peers (budget - 1) rest))))
-      in
-      try_peers 2 peers
+        | Some peer_host -> (
+          Nk_sim.Trace.incr t.trace "dht-hits";
+          let resp, served_by =
+            fetch_from_peer t dht ?span ?deadline ~key ~peer ~peer_host ~rest req
+          in
+          (* Accounting goes to the arm that actually served (the hedged
+             backup may have won); unhedged, [served_by = peer]. *)
+          account_upstream t (breaker_for t ("peer:" ^ served_by)) ~upstream:"peer"
+            (Option.is_some resp);
+          match (resp, t.retry_budget, rest) with
+          | Some resp, _, _ ->
+            Nk_sim.Trace.incr t.trace "peer-fetches";
+            insert_if_cacheable t req resp;
+            resp
+          (* Trying the next candidate is a retry of the upstream class:
+             under a retry budget it must find a token, or the chain
+             collapses straight to the origin. *)
+          | None, Some rb, _ :: _ when budget > 1 ->
+            if Nk_resource.Retry_budget.try_retry rb ~upstream:"peer" then
+              try_peers (budget - 1) rest
+            else from_origin ()
+          | None, _, _ -> try_peers (budget - 1) rest)))
+  in
+  try_peers 2 (List.filter (fun peer -> peer <> name t) result.Nk_overlay.Dht.values)
+
+(* Fetch content for [req] through the three tiers. *)
+let content_fetch t ?(allow_peers = true) ?span ?deadline (req : Nk_http.Message.request) =
+  let key = cache_key req in
+  match cache_tier t ?span key with
+  | Some resp -> resp
+  | None -> (
+    let from_origin () = origin_tier t ?span ?deadline key req in
+    match t.dht with
+    | Some dht when allow_peers -> peer_tier t dht ?span ?deadline key req ~from_origin
     | _ -> from_origin ())
 
 (* --- host capabilities handed to vocabularies ----------------------- *)
@@ -732,6 +721,11 @@ let emission_check t (req : Nk_http.Message.request) ~load_wall =
 
 let hostcall t ~site ~load_wall : Nk_vocab.Hostcall.t =
   let vocab_key key = Printf.sprintf "vocab:%s:%s" site key in
+  (* Hard state goes through the site's replica when there is a bus,
+     else straight to the local store. *)
+  let hard_state via_replica local =
+    match replica t site with Some r -> via_replica r | None -> local t.store
+  in
   {
     Nk_vocab.Hostcall.now = (fun () -> now t);
     site;
@@ -776,24 +770,20 @@ let hostcall t ~site ~load_wall : Nk_vocab.Hostcall.t =
         | None -> 0.0);
     hard_state_get =
       (fun ~key ->
-        match replica t site with
-        | Some r -> Nk_replication.Replication.read r ~key
-        | None -> Nk_replication.Store.get t.store ~site ~key);
+        hard_state (fun r -> Nk_replication.Replication.read r ~key) (fun store ->
+            Nk_replication.Store.get store ~site ~key));
     hard_state_put =
       (fun ~key value ->
-        match replica t site with
-        | Some r -> Nk_replication.Replication.update r ~key ~value
-        | None -> Nk_replication.Store.put t.store ~site ~key value);
+        hard_state (fun r -> Nk_replication.Replication.update r ~key ~value) (fun store ->
+            Nk_replication.Store.put store ~site ~key value));
     hard_state_delete =
       (fun ~key ->
-        match replica t site with
-        | Some r -> Nk_replication.Replication.delete r ~key
-        | None -> Nk_replication.Store.delete t.store ~site ~key);
+        hard_state (fun r -> Nk_replication.Replication.delete r ~key) (fun store ->
+            Nk_replication.Store.delete store ~site ~key));
     hard_state_keys =
       (fun ~prefix ->
-        match replica t site with
-        | Some r -> Nk_replication.Replication.keys r ~prefix
-        | None -> Nk_replication.Store.keys t.store ~site ~prefix);
+        hard_state (fun r -> Nk_replication.Replication.keys r ~prefix) (fun store ->
+            Nk_replication.Store.keys store ~site ~prefix));
     publish =
       (fun ~topic payload ->
         match t.bus with
@@ -821,14 +811,47 @@ let site_limit overrides ~site ~global =
   | Some v -> min global v
   | None -> global
 
-let site_max_fuel t ~site =
-  site_limit t.cfg.Config.site_fuel ~site ~global:t.cfg.Config.script_max_fuel
+(* Admission-time lint: analyze the fetched source (report cached by
+   SHA-256 process-wide), export the diagnostic counts, and under strict
+   mode refuse the stage before any script code runs. A refusal flows
+   into the negative cache like any other script error. *)
+let lint_stage t ?span ~url ~site source =
+  match t.cfg.Config.lint_mode with
+  | `Off -> Ok ()
+  | (`Permissive | `Strict) as mode ->
+    in_span t ?parent:span "script.lint" [ ("stage", url) ] (fun sp ->
+        let report = Nk_analysis.Analysis.analyze_source source in
+        let errors = Nk_analysis.Analysis.errors report in
+        let warnings = Nk_analysis.Analysis.warnings report in
+        set_attr sp "errors" (string_of_int errors);
+        set_attr sp "warnings" (string_of_int warnings);
+        let labels = [ ("site", site) ] in
+        if errors > 0 then
+          Nk_telemetry.Metrics.incr t.metrics ~labels ~by:errors "script.lint.errors";
+        if warnings > 0 then
+          Nk_telemetry.Metrics.incr t.metrics ~labels ~by:warnings "script.lint.warnings";
+        if mode = `Strict && errors > 0 then begin
+          set_attr sp "rejected" "true";
+          let first =
+            List.find
+              (fun (d : Nk_analysis.Diagnostic.t) ->
+                d.Nk_analysis.Diagnostic.severity = Nk_analysis.Diagnostic.Error)
+              report.Nk_analysis.Analysis.diagnostics
+          in
+          Error
+            (Printf.sprintf "%s: rejected by lint: %d error(s), first: %s" url errors
+               (Nk_analysis.Diagnostic.to_string first))
+        end
+        else Ok ())
 
-let site_max_heap t ~site =
-  site_limit t.cfg.Config.site_heap ~site ~global:t.cfg.Config.script_max_heap
-
-let rec build_stage t ?span ~url ~source () =
-  let site = site_of_stage_url url in
+(* The stage installer, over a fetched source ([`Source], linted then
+   compiled) or a program the compile cache already holds
+   ([`Program (hash, program)]). It joins the site's replication group,
+   wires the hostcalls, charges [cpu] (after the join, where the
+   offload receiver has always paid it), builds the stage and caches it
+   under [url] until the script response's expiry ([resp]) or
+   [script_ttl]. A failure is negative-cached for [negative_ttl]. *)
+let rec install_stage t ?span ?resp ?(cpu = 0.0) ~url ~site code =
   (* Join the site's replication group up front so updates published
      before this node's first hard-state access still arrive. *)
   ignore (replica t site);
@@ -840,60 +863,32 @@ let rec build_stage t ?span ~url ~source () =
     else load_stage t Nk_pipeline.Pipeline.well_known_server_wall
   in
   let host = hostcall t ~site ~load_wall in
-  (* Whether this script body was already compiled (by this or any other
-     simulated node in the process) or cost a fresh parse+compile. *)
-  let on_compile_cache outcome =
-    let labels = [ ("site", site) ] in
-    match outcome with
-    | `Hit -> Nk_telemetry.Metrics.incr t.metrics ~labels "script.compile_cache.hits"
-    | `Miss -> Nk_telemetry.Metrics.incr t.metrics ~labels "script.compile_cache.misses"
+  let max_fuel = site_limit t.cfg.Config.site_fuel ~site ~global:t.cfg.Config.script_max_fuel in
+  let max_heap_bytes =
+    site_limit t.cfg.Config.site_heap ~site ~global:t.cfg.Config.script_max_heap
   in
-  (* Admission-time lint: analyze the fetched source (report cached by
-     SHA-256 process-wide), export the diagnostic counts, and under
-     strict mode refuse the stage before any script code runs.  A
-     refusal flows into the caller's negative cache like any other
-     script error. *)
-  let lint_gate =
-    match t.cfg.Config.lint_mode with
-    | `Off -> Ok ()
-    | (`Permissive | `Strict) as mode ->
-      in_span t ?parent:span "script.lint" [ ("stage", url) ] (fun sp ->
-          let report = Nk_analysis.Analysis.analyze_source source in
-          let errors = Nk_analysis.Analysis.errors report in
-          let warnings = Nk_analysis.Analysis.warnings report in
-          set_attr sp "errors" (string_of_int errors);
-          set_attr sp "warnings" (string_of_int warnings);
-          let labels = [ ("site", site) ] in
-          if errors > 0 then
-            Nk_telemetry.Metrics.incr t.metrics ~labels ~by:errors
-              "script.lint.errors";
-          if warnings > 0 then
-            Nk_telemetry.Metrics.incr t.metrics ~labels ~by:warnings
-              "script.lint.warnings";
-          if mode = `Strict && errors > 0 then begin
-            set_attr sp "rejected" "true";
-            let first =
-              List.find
-                (fun (d : Nk_analysis.Diagnostic.t) ->
-                  d.Nk_analysis.Diagnostic.severity = Nk_analysis.Diagnostic.Error)
-                report.Nk_analysis.Analysis.diagnostics
-            in
-            Error
-              (Printf.sprintf "%s: rejected by lint: %d error(s), first: %s" url
-                 errors
-                 (Nk_analysis.Diagnostic.to_string first))
-          end
-          else Ok ())
+  charge_cpu t cpu;
+  let built =
+    match code with
+    | `Program (_, program) ->
+      Nk_pipeline.Stage.of_program ~url ~host ~max_fuel ~max_heap_bytes
+        ~seed:t.cfg.Config.seed program
+    | `Source source ->
+      Result.bind (lint_stage t ?span ~url ~site source) (fun () ->
+          in_span t ?parent:span "script.compile" [ ("stage", url) ] (fun _ ->
+              (* Whether this body was already compiled (by this or any
+                 other simulated node in the process) or cost a fresh
+                 parse+compile. *)
+              let on_compile_cache outcome =
+                Nk_telemetry.Metrics.incr t.metrics ~labels:[ ("site", site) ]
+                  (match outcome with
+                   | `Hit -> "script.compile_cache.hits"
+                   | `Miss -> "script.compile_cache.misses")
+              in
+              Nk_pipeline.Stage.of_script ~url ~host ~max_fuel ~max_heap_bytes
+                ~seed:t.cfg.Config.seed ~on_compile_cache ~lint:`Off ~source ()))
   in
-  match
-    match lint_gate with
-    | Error _ as e -> e
-    | Ok () ->
-      in_span t ?parent:span "script.compile" [ ("stage", url) ] (fun _ ->
-          Nk_pipeline.Stage.of_script ~url ~host ~max_fuel:(site_max_fuel t ~site)
-            ~max_heap_bytes:(site_max_heap t ~site) ~seed:t.cfg.Config.seed
-            ~on_compile_cache ~lint:`Off ~source ())
-  with
+  match built with
   | Ok stage ->
     (* Context reuse reports the previous pipeline's consumption: fold
        it into the per-site fuel/heap histograms. *)
@@ -904,8 +899,22 @@ let rec build_stage t ?span ~url ~source () =
           Nk_telemetry.Metrics.observe t.metrics ~labels "script.fuel" (float_of_int fuel);
         if heap > 0 then
           Nk_telemetry.Metrics.observe t.metrics ~labels "script.heap" (float_of_int heap));
+    let expiry =
+      match Option.bind resp (Nk_http.Message.response_expiry ~now:(now t)) with
+      | Some e -> e
+      | None -> now t +. t.cfg.Config.script_ttl
+    in
+    let hash =
+      match code with `Program (hash, _) -> hash | `Source s -> Nk_crypto.Sha256.digest s
+    in
+    Nk_cache.Memo_cache.put t.stage_cache ~key:url ~expiry { stage; site; hash };
     Ok stage
-  | Error _ as e -> e
+  | Error msg as e ->
+    Nk_sim.Trace.incr t.trace "script-errors";
+    Logs.warn (fun m -> m "[%s] stage %s failed: %s" (name t) url msg);
+    Nk_cache.Memo_cache.put t.negative ~key:url
+      ~expiry:(now t +. t.cfg.Config.negative_ttl) ();
+    e
 
 and load_stage t ?span url =
   match Nk_cache.Memo_cache.find t.stage_cache ~now:(now t) url with
@@ -917,19 +926,14 @@ and load_stage t ?span url =
        reset is best effort. *)
     Nk_script.Interp.reset_usage (Nk_pipeline.Stage.context entry.stage);
     Some entry.stage
-  | None -> (
-    match Nk_cache.Memo_cache.find t.negative ~now:(now t) url with
-    | Some () -> None
-    | None -> (
-      match Nk_http.Url.parse url with
-      | Error _ -> None
-      | Ok _ ->
-        in_span t ?parent:span "load-stage" [ ("stage", url) ] (fun sp ->
-        let req = Nk_http.Message.request url in
+  | None when Nk_cache.Memo_cache.find t.negative ~now:(now t) url <> None -> None
+  | None when Result.is_error (Nk_http.Url.parse url) -> None
+  | None ->
+    in_span t ?parent:span "load-stage" [ ("stage", url) ] (fun sp ->
         (* Deliberately not under the request's deadline budget: a tight
            budget expiring a script fetch would negative-cache the site
            for [negative_ttl], degrading every later request. *)
-        let resp = content_fetch t ?span:sp req in
+        let resp = content_fetch t ?span:sp (Nk_http.Message.request url) in
         if not (Nk_http.Status.is_success resp.Nk_http.Message.status) then begin
           (* Remember that this site publishes no script (§4). *)
           Nk_cache.Memo_cache.put t.negative ~key:url
@@ -942,69 +946,14 @@ and load_stage t ?span url =
           charge_cpu t
             (costs.Config.context_create +. costs.Config.parse_base
             +. (costs.Config.parse_per_byte *. float_of_int (String.length source)));
-          match build_stage t ?span:sp ~url ~source () with
-          | Ok stage ->
-            let expiry =
-              match Nk_http.Message.response_expiry ~now:(now t) resp with
-              | Some e -> e
-              | None -> now t +. t.cfg.Config.script_ttl
-            in
-            Nk_cache.Memo_cache.put t.stage_cache ~key:url ~expiry
-              {
-                stage;
-                site = site_of_stage_url url;
-                hash = Nk_crypto.Sha256.digest source;
-              };
-            Some stage
-          | Error msg ->
-            Nk_sim.Trace.incr t.trace "script-errors";
-            Logs.warn (fun m -> m "[%s] stage %s failed: %s" (name t) url msg);
-            Nk_cache.Memo_cache.put t.negative ~key:url
-              ~expiry:(now t +. t.cfg.Config.negative_ttl) ();
-            None
-        end)))
+          Result.to_option
+            (install_stage t ?span:sp ~resp ~url ~site:(site_of_stage_url url) (`Source source))
+        end)
 
 let warm_stage t ~url ~site ~source =
-  match build_stage t ~url ~source () with
-  | Ok stage ->
-    Nk_cache.Memo_cache.put t.stage_cache ~key:url ~expiry:(now t +. t.cfg.Config.script_ttl)
-      { stage; site; hash = Nk_crypto.Sha256.digest source }
+  match install_stage t ~url ~site (`Source source) with
+  | Ok _ -> ()
   | Error msg -> invalid_arg (Printf.sprintf "warm_stage %s: %s" url msg)
-
-(* Install a stage straight from a compiled program (the diffusion
-   receiver's path: the offload envelope named the script by SHA-256 and
-   the compile cache still holds it — no source, no parse, no lint; the
-   node that compiled it linted it). *)
-let install_stage_from_program t ~url ~site ~hash program =
-  ignore (replica t site);
-  let load_wall t =
-    if url = Nk_pipeline.Pipeline.well_known_server_wall then None
-    else load_stage t Nk_pipeline.Pipeline.well_known_server_wall
-  in
-  let host = hostcall t ~site ~load_wall in
-  charge_cpu t t.cfg.Config.costs.Config.context_create;
-  match
-    Nk_pipeline.Stage.of_program ~url ~host ~max_fuel:(site_max_fuel t ~site)
-      ~max_heap_bytes:(site_max_heap t ~site) ~seed:t.cfg.Config.seed program
-  with
-  | Ok stage ->
-    Nk_script.Interp.set_usage_observer (Nk_pipeline.Stage.context stage)
-      (fun ~fuel ~heap ->
-        let labels = [ ("site", site) ] in
-        if fuel > 0 then
-          Nk_telemetry.Metrics.observe t.metrics ~labels "script.fuel" (float_of_int fuel);
-        if heap > 0 then
-          Nk_telemetry.Metrics.observe t.metrics ~labels "script.heap" (float_of_int heap));
-    Nk_cache.Memo_cache.put t.stage_cache ~key:url
-      ~expiry:(now t +. t.cfg.Config.script_ttl)
-      { stage; site; hash };
-    true
-  | Error msg ->
-    Nk_sim.Trace.incr t.trace "script-errors";
-    Logs.warn (fun m -> m "[%s] offloaded stage %s failed: %s" (name t) url msg);
-    Nk_cache.Memo_cache.put t.negative ~key:url
-      ~expiry:(now t +. t.cfg.Config.negative_ttl) ();
-    false
 
 let invalidate_stage t ~url = Nk_cache.Memo_cache.remove t.stage_cache url
 
@@ -1056,11 +1005,11 @@ let process t ?span ?deadline (req : Nk_http.Message.request) =
   let costs = t.cfg.Config.costs in
   t.in_flight <- t.in_flight + 1;
   let concurrency = float_of_int t.in_flight *. costs.Config.concurrency_cpu in
-  (match deadline with
-   | Some d ->
-     set_attr span "deadline_remaining"
-       (Printf.sprintf "%.4f" (Nk_resource.Deadline.remaining d ~now:(now t)))
-   | None -> ());
+  Option.iter
+    (fun d ->
+      set_attr span "deadline_remaining"
+        (Printf.sprintf "%.4f" (Nk_resource.Deadline.remaining d ~now:(now t))))
+    deadline;
   (* Expose this request's span to the hostcall closures while the
      pipeline runs (best effort: restored even on exceptions, but a
      suspended pipeline's sub-fetches may interleave). The deadline
@@ -1078,30 +1027,26 @@ let process t ?span ?deadline (req : Nk_http.Message.request) =
         if not t.cfg.Config.enable_pipeline then
           (content_fetch t ?span ?deadline req, 0, 0, 0)
         else begin
-          let telemetry =
-            match span with Some s -> Some (t.tracer, s) | None -> None
-          in
           let outcome =
             Nk_pipeline.Pipeline.execute
               ~load_stage:(fun url ->
                 let stage = load_stage t ?span url in
-                (match stage with
-                 | Some _ -> charge_cpu t costs.Config.predicate_eval
-                 | None -> ());
+                if Option.is_some stage then charge_cpu t costs.Config.predicate_eval;
                 stage)
               ~fetch:(fun req -> content_fetch t ?span ?deadline req)
-              ?telemetry req
+              ?telemetry:(Option.map (fun s -> (t.tracer, s)) span)
+              req
           in
-          (match outcome.Nk_pipeline.Pipeline.source with
-           | Nk_pipeline.Pipeline.From_failure Nk_pipeline.Pipeline.Killed ->
-             Nk_sim.Trace.incr t.trace "dropped-termination";
-             set_attr span "source" "killed"
-           | Nk_pipeline.Pipeline.From_failure _ ->
-             Nk_sim.Trace.incr t.trace "script-errors";
-             set_attr span "source" "failure"
-           | Nk_pipeline.Pipeline.From_script stage_url ->
-             set_attr span "source" ("script:" ^ stage_url)
-           | Nk_pipeline.Pipeline.From_origin -> set_attr span "source" "origin");
+          set_attr span "source"
+            (match outcome.Nk_pipeline.Pipeline.source with
+             | Nk_pipeline.Pipeline.From_failure Nk_pipeline.Pipeline.Killed ->
+               Nk_sim.Trace.incr t.trace "dropped-termination";
+               "killed"
+             | Nk_pipeline.Pipeline.From_failure _ ->
+               Nk_sim.Trace.incr t.trace "script-errors";
+               "failure"
+             | Nk_pipeline.Pipeline.From_script stage_url -> "script:" ^ stage_url
+             | Nk_pipeline.Pipeline.From_origin -> "origin");
           ( outcome.Nk_pipeline.Pipeline.response,
             outcome.Nk_pipeline.Pipeline.fuel,
             outcome.Nk_pipeline.Pipeline.heap,
@@ -1133,23 +1078,129 @@ let process t ?span ?deadline (req : Nk_http.Message.request) =
   Nk_telemetry.Metrics.observe t.metrics ~labels "site.latency" elapsed;
   (response, fuel, heap)
 
+(* --- the request path's shared steps ---------------------------------- *)
+
+(* Receiver-side deadline shed, for peer and offload requests alike: a
+   carried budget below our queue-delay estimate (or already spent)
+   cannot be served in time, and refusing now frees the sender to try
+   elsewhere within the budget. [Error spent] says which it was. *)
+let receiver_deadline t req =
+  match Nk_resource.Deadline.of_request ~now:(now t) req with
+  | Some d
+    when Nk_resource.Deadline.remaining d ~now:(now t) <= Nk_sim.Net.cpu_backlog t.net t.host
+    ->
+    Error (Nk_resource.Deadline.expired d ~now:(now t))
+  | deadline -> Ok deadline
+
+(* Admission control: the host's CPU backlog is the queueing delay a
+   newly admitted request would see. [Ok release] frees the slot;
+   [Error (retry_after, reason)] is a shed. *)
+let admit t ~site =
+  match t.admission with
+  | None -> Ok ignore
+  | Some adm -> (
+    match
+      Nk_resource.Admission.offer adm ~site ~queue_delay:(Nk_sim.Net.cpu_backlog t.net t.host)
+    with
+    | Nk_resource.Admission.Admitted -> Ok (fun () -> Nk_resource.Admission.release adm ~site)
+    | Nk_resource.Admission.Shed { retry_after; reason } -> Error (retry_after, reason))
+
+(* Serve a request the node has taken on: open its span, run [work] in a
+   cothread, then free the admission slot, count the response, let
+   [edit] touch it, close the span and [reply]. If [work] raises, [fail]
+   answers instead; [errors] names the failure for the log and counts a
+   script error, while [None] (the peer path) only marks the span. *)
+let serve t span_name ?(attrs = []) ?(release = ignore) ?(edit = ignore)
+    ?(errors = Some "pipeline error") req work ~reply ~fail =
+  let span = start_request_span t span_name req in
+  List.iter (fun (k, v) -> set_attr span k v) attrs;
+  Nk_util.Cothread.spawn
+    (fun () -> work span)
+    ~on_done:(fun ((resp, _, _) as result) ->
+      release ();
+      Nk_sim.Trace.incr t.trace "responses";
+      edit resp;
+      finish_span t span ~attrs:[ ("status", string_of_int resp.Nk_http.Message.status) ];
+      reply result)
+    ~on_error:(fun exn ->
+      release ();
+      let error =
+        match errors with
+        | None -> "true"
+        | Some what ->
+          Nk_sim.Trace.incr t.trace "script-errors";
+          Logs.warn (fun m -> m "[%s] %s: %s" (name t) what (Printexc.to_string exn));
+          Printexc.to_string exn
+      in
+      finish_span t span ~attrs:[ ("error", error) ];
+      fail ())
+
+(* An answer given without serving the request still gets a one-span
+   trace: admission decisions are part of "where did this request's
+   time go?". *)
+let answer_early t req k ~outcome resp =
+  finish_span t (start_request_span t "request" req)
+    ~attrs:[ ("outcome", outcome); ("status", string_of_int resp.Nk_http.Message.status) ];
+  k resp
+
+(* The front-door gates, in order: a quarantined site's ban window (the
+   503 says when trying again might succeed), the monitor's throttle
+   draw, and a budget spent before we could do anything. [Some (outcome,
+   answer)] refuses the request without taking a queue slot. *)
+let gate t ~site deadline =
+  if Nk_resource.Quarantine.is_banned t.quarantine ~site then begin
+    Nk_sim.Trace.incr t.trace "dropped-termination";
+    Some
+      ("banned-site", retry_after_response (Nk_resource.Quarantine.remaining t.quarantine ~site))
+  end
+  else if
+    (* Only the monitor writes throttle tables, so without resource
+       controls the fraction is 0 and nothing is drawn. *)
+    let fraction = throttle_fraction t site in
+    fraction > 0.0 && Nk_util.Prng.float t.rng 1.0 < fraction
+  then begin
+    Nk_sim.Trace.incr t.trace "rejected-throttle";
+    Some ("rejected-throttle", Nk_http.Message.error_response 503)
+  end
+  else if expired t deadline then
+    Some ("deadline-admission", deadline_expired_response t ~at:"admission")
+  else None
+
+(* §3.1: a Range request is processed on the entire instance (the
+   pipeline may transcode it); the slice, parsed on arrival, is cut out
+   only for the final client response. *)
+let slice_range t req =
+  let range = Option.bind (Nk_http.Message.req_header req "Range") Nk_http.Range.parse in
+  fun resp ->
+    Option.iter
+      (fun r -> if Nk_http.Range.apply r resp then Nk_sim.Trace.incr t.trace "range-responses")
+      range
+
+(* The §6 threat: a node that arbitrarily modifies cached content
+   before serving it to its peers. *)
+let falsify t resp =
+  if t.cfg.Config.misbehaving then
+    Nk_http.Message.set_body resp
+      (Nk_util.Strutil.replace_all
+         (Nk_http.Body.to_string resp.Nk_http.Message.resp_body)
+         ~sub:"content" ~by:"FALSIFIED")
+
 (* --- computation diffusion (C3PO over the health plane) --------------- *)
 
 let site_script_url site = Printf.sprintf "http://%s/nakika.js" site
 
-(* The name of the work this site's requests would run, offloadable only
-   once known locally: [Some hash] when the stage is cached (a previous
-   request warmed it), [Some ""] when the site is known to publish no
-   script (walls-only pipeline), [None] when we have never looked — the
-   first request must execute here and warm the caches. *)
+(* The stage-status lookup: the name of the work this site's requests
+   would run, offloadable only once known locally. [Some hash] when the
+   stage is cached (a previous request warmed it), [Some ""] when the
+   site is known to publish no script (walls-only pipeline), [None] when
+   we have never looked — the first request must execute here and warm
+   the caches. *)
 let offload_hash t site =
   let url = site_script_url site in
   match Nk_cache.Memo_cache.find t.stage_cache ~now:(now t) url with
   | Some entry -> Some entry.hash
-  | None -> (
-    match Nk_cache.Memo_cache.find t.negative ~now:(now t) url with
-    | Some () -> Some ""
-    | None -> None)
+  | None when Nk_cache.Memo_cache.find t.negative ~now:(now t) url <> None -> Some ""
+  | None -> None
 
 (* Decide whether this request should diffuse. Entirely inert when
    diffusion is disabled — no rng draws, no metrics — so a disabled node
@@ -1174,10 +1225,10 @@ let offload_plan t ~site =
             ~low_water:t.cfg.Config.diffusion_low_water ~candidates
         with
         | Nk_diffusion.Policy.Local -> None
-        | Nk_diffusion.Policy.Offload eligible -> (
-          match Nk_diffusion.Policy.pick ~rng:t.rng eligible with
-          | None -> None
-          | Some target -> Some (d, p, script_hash, target))))
+        | Nk_diffusion.Policy.Offload eligible ->
+          Option.map
+            (fun target -> (d, p, script_hash, target))
+            (Nk_diffusion.Policy.pick ~rng:t.rng eligible)))
 
 (* Ship the request to [target]; any failure — open breaker, rejection,
    timeout — falls back to [fallback] (the normal local admission path),
@@ -1198,64 +1249,54 @@ let attempt_offload t ~site ~plan:(d, p, script_hash, target) ?deadline req k ~f
     let span = start_request_span t "request" req in
     set_attr span "pressure" (Printf.sprintf "%.3f" p);
     let ospan =
-      match span with
-      | None -> None
-      | Some s ->
-        Some
-          (Nk_telemetry.Tracer.start_span t.tracer ~parent:s
-             ~attrs:[ ("target", target_name) ]
-             "offload")
+      Option.map
+        (fun s ->
+          Nk_telemetry.Tracer.start_span t.tracer ~parent:s
+            ~attrs:[ ("target", target_name) ]
+            "offload")
+        span
     in
-    let range =
-      Option.bind (Nk_http.Message.req_header req "Range") Nk_http.Range.parse
+    let slice = slice_range t req in
+    (* A fallback closes both spans; the local path opens its own. *)
+    let give_up ~outcome reason =
+      finish_span t ospan ~attrs:[ ("outcome", outcome) ];
+      finish_span t span ~attrs:[ ("source", "offload-fallback") ];
+      fall_back reason
     in
     (* The envelope ships the request's headers, so stamping the
        remaining budget here propagates it to the offload target; the
        reply timeout shrinks to the budget for the same reason the
        per-hop fetch timeouts do. *)
-    (match deadline with
-     | Some d -> Nk_resource.Deadline.stamp d ~now:(now t) req
-     | None -> ());
+    stamp t deadline req;
     Nk_diffusion.Offload.send d.offload ~target:target_name
       ~target_incarnation:target.Nk_diffusion.Neighbors.incarnation ~site ~script_hash
       ~timeout:(hop_timeout t deadline t.cfg.Config.diffusion_offload_timeout)
       ~request:req
-      ~on_done:(fun outcome ->
-        match outcome with
+      ~on_done:(function
         | Some (Nk_diffusion.Offload.Executed { response; fuel = _; heap = _ }) ->
           Nk_resource.Breaker.success breaker;
           Nk_telemetry.Metrics.incr t.metrics
             ~labels:[ ("target", target_name) ]
             "diffusion.offloads";
           Nk_sim.Trace.incr t.trace "responses";
-          (match range with
-           | Some r ->
-             if Nk_http.Range.apply r response then
-               Nk_sim.Trace.incr t.trace "range-responses"
-           | None -> ());
-          set_attr ospan "outcome" "executed";
-          (match ospan with Some s -> Nk_telemetry.Tracer.finish t.tracer s | None -> ());
-          set_attr span "status" (string_of_int response.Nk_http.Message.status);
-          set_attr span "source" ("offload:" ^ target_name);
-          finish_span t span;
+          slice response;
+          finish_span t ospan ~attrs:[ ("outcome", "executed") ];
+          finish_span t span
+            ~attrs:
+              [
+                ("status", string_of_int response.Nk_http.Message.status);
+                ("source", "offload:" ^ target_name);
+              ];
           k response
         | Some (Nk_diffusion.Offload.Rejected reason) ->
           (* The target answered: it is alive, just unwilling. Not a
              breaker failure — tripping on a loaded-but-healthy neighbor
              would blind us to it for a whole cooldown. *)
           Nk_resource.Breaker.success breaker;
-          set_attr ospan "outcome" ("rejected:" ^ reason);
-          (match ospan with Some s -> Nk_telemetry.Tracer.finish t.tracer s | None -> ());
-          set_attr span "source" "offload-fallback";
-          finish_span t span;
-          fall_back "rejected"
+          give_up ~outcome:("rejected:" ^ reason) "rejected"
         | None ->
           Nk_resource.Breaker.failure breaker;
-          set_attr ospan "outcome" "timeout";
-          (match ospan with Some s -> Nk_telemetry.Tracer.finish t.tracer s | None -> ());
-          set_attr span "source" "offload-fallback";
-          finish_span t span;
-          fall_back "timeout")
+          give_up ~outcome:"timeout" "timeout")
 
 (* Receiver side: resolve the shipped hash to a runnable stage before
    the pipeline goes looking for a script. Runs inside the request's
@@ -1263,19 +1304,15 @@ let attempt_offload t ~site ~plan:(d, p, script_hash, target) ?deadline req k ~f
 let resolve_offload_stage t (env : Nk_diffusion.Offload.request_envelope) =
   let site = env.Nk_diffusion.Offload.site in
   let url = site_script_url site in
-  let hash = env.Nk_diffusion.Offload.script_hash in
-  if hash = "" then begin
+  match (env.Nk_diffusion.Offload.script_hash, offload_hash t site) with
+  | "", None ->
     (* The sender knows the site publishes no script; spare the pipeline
        the origin probe it would otherwise pay to learn the same. *)
-    if
-      Nk_cache.Memo_cache.find t.stage_cache ~now:(now t) url = None
-      && Nk_cache.Memo_cache.find t.negative ~now:(now t) url = None
-    then
-      Nk_cache.Memo_cache.put t.negative ~key:url
-        ~expiry:(now t +. t.cfg.Config.negative_ttl) ()
-  end
-  else if Nk_cache.Memo_cache.find t.stage_cache ~now:(now t) url <> None then ()
-  else
+    Nk_cache.Memo_cache.put t.negative ~key:url ~expiry:(now t +. t.cfg.Config.negative_ttl) ()
+  | "", Some _ -> ()
+  (* Every cached stage carries its (non-empty) hash. *)
+  | _, Some known when known <> "" -> ()
+  | hash, _ -> (
     let registry_hits_before = (Nk_script.Registry.stats ()).Nk_script.Registry.hits in
     match Nk_script.Compile.find_cached_by_hash hash with
     | Some program ->
@@ -1284,8 +1321,12 @@ let resolve_offload_stage t (env : Nk_diffusion.Offload.request_envelope) =
          rather than found in memory — an origin fetch avoided. *)
       if (Nk_script.Registry.stats ()).Nk_script.Registry.hits > registry_hits_before
       then Nk_telemetry.Metrics.incr t.metrics "diffusion.registry_rescues";
-      ignore (install_stage_from_program t ~url ~site ~hash program)
-    | None ->
+      (* Installed straight from the compiled program: no source, no
+         parse, no lint (the node that compiled it linted it). *)
+      ignore
+        (install_stage t ~cpu:t.cfg.Config.costs.Config.context_create ~url ~site
+           (`Program (hash, program)))
+    | None -> (
       (* Hash miss: the program fell out of the (LRU-bounded) compile
          cache, or was never compiled in this process. Fetch the script
          from the origin under its own — short — deadline and warm the
@@ -1293,19 +1334,20 @@ let resolve_offload_stage t (env : Nk_diffusion.Offload.request_envelope) =
          [origin_timeout]. *)
       Nk_telemetry.Metrics.incr t.metrics "diffusion.hash_misses";
       let req = Nk_http.Message.request url in
-      (match
-         await_fetch_opt t ~via:None ~timeout:t.cfg.Config.diffusion_fetch_timeout req
-       with
-       | Some resp when Nk_http.Status.is_success resp.Nk_http.Message.status ->
-         insert_if_cacheable t req resp
-       | _ -> ())
+      match
+        await_fetch_opt t ~via:None ~timeout:t.cfg.Config.diffusion_fetch_timeout req
+      with
+      | Some resp when Nk_http.Status.is_success resp.Nk_http.Message.status ->
+        insert_if_cacheable t req resp
+      | _ -> ()))
 
 let handle_offload_request t d ~payload =
   match Nk_diffusion.Offload.decode_request_envelope payload with
   | Error msg ->
     Logs.debug (fun m -> m "[%s] undecodable offload request: %s" (name t) msg)
-  | Ok env ->
+  | Ok env -> (
     let site = env.Nk_diffusion.Offload.site in
+    let req = env.Nk_diffusion.Offload.request in
     let reject reason =
       Nk_telemetry.Metrics.incr t.metrics ~labels:[ ("reason", reason) ]
         "diffusion.rejects";
@@ -1315,225 +1357,80 @@ let handle_offload_request t d ~payload =
        whatever it believed about our load died with it. *)
     if env.Nk_diffusion.Offload.target_incarnation <> incarnation t then
       reject "incarnation"
-    else if Nk_resource.Quarantine.is_banned t.quarantine ~site then
-      reject "banned-site"
+    else if Nk_resource.Quarantine.is_banned t.quarantine ~site then reject "banned-site"
     else if pressure t >= t.cfg.Config.diffusion_high_water then reject "pressure"
-    else begin
-      let req = env.Nk_diffusion.Offload.request in
-      (* Receiver-side deadline shed: a budget smaller than our current
-         queue-delay estimate cannot be served in time — rejecting now
-         lets the sender fall back (its local queue may be shorter)
-         instead of computing an answer nobody will wait for. *)
-      let deadline = Nk_resource.Deadline.of_request ~now:(now t) req in
-      let doomed =
-        match deadline with
-        | Some d ->
-          Nk_resource.Deadline.remaining d ~now:(now t)
-          <= Nk_sim.Net.cpu_backlog t.net t.host
-        | None -> false
-      in
-      if doomed then begin
+    else
+      match receiver_deadline t req with
+      | Error spent ->
         Nk_telemetry.Metrics.incr t.metrics ~labels:[ ("at", "offload") ]
           "deadline.expired";
-        reject
-          (match deadline with
-           | Some d when Nk_resource.Deadline.expired d ~now:(now t) ->
-             "deadline-expired"
-           | _ -> "deadline-queue")
-      end
-      else begin
-      let verdict =
-        match t.admission with
-        | None -> Nk_resource.Admission.Admitted
-        | Some adm ->
-          Nk_resource.Admission.offer adm ~site
-            ~queue_delay:(Nk_sim.Net.cpu_backlog t.net t.host)
-      in
-      match verdict with
-      | Nk_resource.Admission.Shed { reason; _ } -> reject ("admission-" ^ reason)
-      | Nk_resource.Admission.Admitted ->
-        let release () =
-          match t.admission with
-          | Some adm -> Nk_resource.Admission.release adm ~site
-          | None -> ()
-        in
-        let span = start_request_span t "offload-request" req in
-        set_attr span "origin" env.Nk_diffusion.Offload.origin_node;
-        Nk_util.Cothread.spawn
-          (fun () ->
-            resolve_offload_stage t env;
-            process t ?span ?deadline req)
-          ~on_done:(fun (resp, fuel, heap) ->
-            release ();
-            Nk_sim.Trace.incr t.trace "responses";
-            set_attr span "status" (string_of_int resp.Nk_http.Message.status);
-            finish_span t span;
-            Nk_diffusion.Offload.reply d.offload ~to_:env
-              (Nk_diffusion.Offload.Executed { response = resp; fuel; heap }))
-          ~on_error:(fun exn ->
-            release ();
-            Nk_sim.Trace.incr t.trace "script-errors";
-            Logs.warn (fun m ->
-                m "[%s] offloaded pipeline error: %s" (name t) (Printexc.to_string exn));
-            set_attr span "error" (Printexc.to_string exn);
-            finish_span t span;
-            reject "error")
-      end
-    end
+        reject (if spent then "deadline-expired" else "deadline-queue")
+      | Ok deadline -> (
+        match admit t ~site with
+        | Error (_, reason) -> reject ("admission-" ^ reason)
+        | Ok release ->
+          serve t "offload-request" req
+            ~attrs:[ ("origin", env.Nk_diffusion.Offload.origin_node) ]
+            ~release ~errors:(Some "offloaded pipeline error")
+            (fun span ->
+              resolve_offload_stage t env;
+              process t ?span ?deadline req)
+            ~reply:(fun (response, fuel, heap) ->
+              Nk_diffusion.Offload.reply d.offload ~to_:env
+                (Nk_diffusion.Offload.Executed { response; fuel; heap }))
+            ~fail:(fun () -> reject "error")))
 
+(* The request path, in order. A peer request (another node's
+   cooperative-cache fetch) passes the receiver deadline shed and is
+   served straight from cache or origin: no pipeline, no further DHT
+   consultation (avoids routing loops). A client request passes the
+   front-door gates, may diffuse to a less pressured neighbor, and is
+   otherwise admitted and served here. *)
 let handle t (req : Nk_http.Message.request) k =
   Nk_sim.Trace.incr t.trace "requests";
-  (* Peer requests serve straight from cache/origin: no pipeline, no
-     further DHT consultation (avoids routing loops). *)
-  if Nk_http.Message.req_header req peer_header <> None then begin
-    (* Receiver-side deadline shed, mirroring the offload target's: a
-       peer request whose carried budget is below our queue-delay
-       estimate (or already spent) gets its 504 now, freeing the
-       requester to try its next candidate within the budget. *)
-    let deadline = Nk_resource.Deadline.of_request ~now:(now t) req in
-    let doomed =
-      match deadline with
-      | Some d ->
-        Nk_resource.Deadline.remaining d ~now:(now t)
-        <= Nk_sim.Net.cpu_backlog t.net t.host
-      | None -> false
-    in
-    if doomed then begin
+  let reply (resp, _, _) = k resp in
+  let fail () = k (Nk_http.Message.error_response 500) in
+  if Nk_http.Message.req_header req peer_header <> None then
+    match receiver_deadline t req with
+    | Error spent ->
       Nk_sim.Trace.incr t.trace "responses";
-      k
-        (deadline_expired_response t
-           ~at:
-             (match deadline with
-              | Some d when Nk_resource.Deadline.expired d ~now:(now t) -> "peer"
-              | _ -> "peer-queue"))
-    end
-    else begin
-    let span = start_request_span t "peer-request" req in
-    Nk_util.Cothread.spawn
-      (fun () -> content_fetch t ~allow_peers:false ?span ?deadline req)
-      ~on_done:(fun resp ->
-        Nk_sim.Trace.incr t.trace "responses";
-        if t.cfg.Config.misbehaving then
-          (* The §6 threat: a node that arbitrarily modifies cached
-             content before serving it to its peers. *)
-          Nk_http.Message.set_body resp
-            (Nk_util.Strutil.replace_all
-               (Nk_http.Body.to_string resp.Nk_http.Message.resp_body)
-               ~sub:"content" ~by:"FALSIFIED");
-        set_attr span "status" (string_of_int resp.Nk_http.Message.status);
-        finish_span t span;
-        k resp)
-      ~on_error:(fun _ ->
-        set_attr span "error" "true";
-        finish_span t span;
-        k (Nk_http.Message.error_response 500))
-    end
-  end
+      k (deadline_expired_response t ~at:(if spent then "peer" else "peer-queue"))
+    | Ok deadline ->
+      serve t "peer-request" req ~edit:(falsify t) ~errors:None
+        (fun span -> (content_fetch t ~allow_peers:false ?span ?deadline req, 0, 0))
+        ~reply ~fail
   else begin
     (* Strip the .nakika.net suffix clients use to reach us (§3). *)
-    (match Nk_http.Url.of_nakika req.Nk_http.Message.url with
-     | Some origin -> req.Nk_http.Message.url <- origin
-     | None -> ());
+    Option.iter
+      (fun origin -> req.Nk_http.Message.url <- origin)
+      (Nk_http.Url.of_nakika req.Nk_http.Message.url);
     let site = Nk_http.Url.site req.Nk_http.Message.url in
-    let fraction = throttle_fraction t site in
-    (* A rejected request still gets a (one-span) trace: admission
-       decisions are part of "where did this request's time go?". With
-       [retry_after], the 503 tells the client when trying again might
-       actually succeed. *)
-    let reject ?retry_after outcome =
-      let span = start_request_span t "request" req in
-      set_attr span "outcome" outcome;
-      set_attr span "status" "503";
-      finish_span t span;
-      k
-        (match retry_after with
-         | Some s -> retry_after_response s
-         | None -> Nk_http.Message.error_response 503)
+    (* The request's deadline budget: minted here from
+       [request_deadline], or carried in from an upstream Na Kika node,
+       whichever is tighter. [None] (the default config, no header)
+       leaves every downstream path as it was before deadlines existed. *)
+    let deadline =
+      Nk_resource.Deadline.admit ~now:(now t) ~budget:t.cfg.Config.request_deadline req
     in
-    if Nk_resource.Quarantine.is_banned t.quarantine ~site then begin
-      Nk_sim.Trace.incr t.trace "dropped-termination";
-      reject ~retry_after:(Nk_resource.Quarantine.remaining t.quarantine ~site) "banned-site"
-    end
-    else if
-      t.cfg.Config.enable_resource_controls && fraction > 0.0
-      && Nk_util.Prng.float t.rng 1.0 < fraction
-    then begin
-      Nk_sim.Trace.incr t.trace "rejected-throttle";
-      reject "rejected-throttle"
-    end
-    else begin
-      (* Tail tolerance: the request's deadline budget — minted here
-         from [request_deadline], or carried in from an upstream
-         Na Kika node, whichever is tighter. [None] (the default
-         config, no header) leaves every downstream path exactly as it
-         was before deadlines existed. *)
-      let deadline =
-        Nk_resource.Deadline.admit ~now:(now t) ~budget:t.cfg.Config.request_deadline req
-      in
-      let local () =
-        (* Front-door admission control: the host's CPU backlog is the
-           queueing delay a newly admitted request would see. *)
-        let verdict =
-          match t.admission with
-          | None -> Nk_resource.Admission.Admitted
-          | Some adm ->
-            Nk_resource.Admission.offer adm ~site
-              ~queue_delay:(Nk_sim.Net.cpu_backlog t.net t.host)
-        in
-        match verdict with
-        | Nk_resource.Admission.Shed { retry_after; reason } ->
-          Nk_sim.Trace.incr t.trace "admission-sheds";
-          reject ~retry_after ("admission-" ^ reason)
-        | Nk_resource.Admission.Admitted ->
-          let release () =
-            match t.admission with
-            | Some adm -> Nk_resource.Admission.release adm ~site
-            | None -> ()
-          in
-          (* §3.1: a Range request is processed on the entire instance (the
-             pipeline may transcode it); the requested slice is cut out only
-             for the final client response. *)
-          let range =
-            Option.bind (Nk_http.Message.req_header req "Range") Nk_http.Range.parse
-          in
-          let span = start_request_span t "request" req in
-          Nk_util.Cothread.spawn
-            (fun () -> process t ?span ?deadline req)
-            ~on_done:(fun (resp, _fuel, _heap) ->
-              release ();
-              Nk_sim.Trace.incr t.trace "responses";
-              (match range with
-               | Some r -> if Nk_http.Range.apply r resp then Nk_sim.Trace.incr t.trace "range-responses"
-               | None -> ());
-              set_attr span "status" (string_of_int resp.Nk_http.Message.status);
-              finish_span t span;
-              k resp)
-            ~on_error:(fun exn ->
-              release ();
-              Nk_sim.Trace.incr t.trace "script-errors";
-              Logs.warn (fun m -> m "[%s] pipeline error: %s" (name t) (Printexc.to_string exn));
-              set_attr span "error" (Printexc.to_string exn);
-              finish_span t span;
-              k (Nk_http.Message.error_response 500))
-      in
-      match deadline with
-      | Some d when Nk_resource.Deadline.expired d ~now:(now t) ->
-        (* Zero-remaining admission: the budget was spent before we
-           could do anything — answer the 504 without taking a queue
-           slot or consulting the diffusion plan. *)
-        let span = start_request_span t "request" req in
-        set_attr span "outcome" "deadline-admission";
-        set_attr span "status" "504";
-        finish_span t span;
-        k (deadline_expired_response t ~at:"admission")
-      | _ -> (
-        (* Proactive diffusion sits after quarantine/throttle but before
-           admission: an offloaded request never takes a local queue slot,
-           which is exactly the relief a pressured node needs. *)
-        match offload_plan t ~site with
-        | None -> local ()
-        | Some plan -> attempt_offload t ~site ~plan ?deadline req k ~fallback:local)
-    end
+    let local () =
+      match admit t ~site with
+      | Error (retry_after, reason) ->
+        Nk_sim.Trace.incr t.trace "admission-sheds";
+        answer_early t req k ~outcome:("admission-" ^ reason) (retry_after_response retry_after)
+      | Ok release ->
+        serve t "request" req ~release ~edit:(slice_range t req)
+          (fun span -> process t ?span ?deadline req)
+          ~reply ~fail
+    in
+    match gate t ~site deadline with
+    | Some (outcome, resp) -> answer_early t req k ~outcome resp
+    (* Diffusion sits after the gates but before admission: an offloaded
+       request never takes a local queue slot, which is exactly the
+       relief a pressured node needs. *)
+    | None -> (
+      match offload_plan t ~site with
+      | None -> local ()
+      | Some plan -> attempt_offload t ~site ~plan ?deadline req k ~fallback:local)
   end
 
 (* --- congestion control (Fig. 6 scheduling) --------------------------- *)
@@ -1567,14 +1464,12 @@ let terminate_site t ~site =
   t.terminated <- site :: t.terminated;
   (* Kill the scripting contexts of every cached stage owned by the
      site; in-flight pipelines die at their next evaluation step. *)
-  List.iter
-    (fun url ->
-      match Nk_cache.Memo_cache.find t.stage_cache ~now:(now t) url with
-      | Some entry when entry.site = site ->
-        Nk_script.Interp.kill (Nk_pipeline.Stage.context entry.stage);
-        Nk_cache.Memo_cache.remove t.stage_cache url
-      | _ -> ())
-    [ Printf.sprintf "http://%s/nakika.js" site ];
+  let url = site_script_url site in
+  (match Nk_cache.Memo_cache.find t.stage_cache ~now:(now t) url with
+   | Some entry when entry.site = site ->
+     Nk_script.Interp.kill (Nk_pipeline.Stage.context entry.stage);
+     Nk_cache.Memo_cache.remove t.stage_cache url
+   | _ -> ());
   (* Refuse the site's requests for an escalating (but decaying) ban
      window — repeat offenders wait longer, reformed ones recover. *)
   ignore (Nk_resource.Quarantine.punish t.quarantine ~site)
@@ -1623,23 +1518,28 @@ let start_monitor t =
   in
   Nk_sim.Sim.schedule t.sim ~daemon:true ~delay:t.cfg.Config.control_interval cycle
 
-(* --- access-log posting (§3.3) ---------------------------------------- *)
+(* --- periodic upkeep and access-log posting (§3.3) ---------------------- *)
+
+(* Run [f] every [period] seconds, first one period from now, on daemon
+   events: periodic upkeep never keeps a simulation alive. *)
+let every t period f =
+  let rec cycle () =
+    f ();
+    Nk_sim.Sim.schedule t.sim ~daemon:true ~delay:period cycle
+  in
+  Nk_sim.Sim.schedule t.sim ~daemon:true ~delay:period cycle
 
 (* Soft-state maintenance: DHT announcements are TTL'd ([dht_ttl]),
    typically shorter than cached entries' lifetimes; re-announce fresh
    cache contents so cooperative caching keeps finding them (Coral-style
    refresh). *)
 let start_reannouncer t dht =
-  let period = Float.max 5.0 (t.cfg.Config.dht_ttl /. 2.0) in
-  let rec cycle () =
-    Nk_cache.Http_cache.fold_fresh t.cache ~now:(now t) ~init:()
-      ~f:(fun () key expiry ->
-        let ttl = Float.min t.cfg.Config.dht_ttl (expiry -. now t) in
-        if ttl > 0.0 then
-          ignore (Nk_overlay.Dht.put dht ~now:(now t) ~from:(name t) ~key ~value:(name t) ~ttl));
-    Nk_sim.Sim.schedule t.sim ~daemon:true ~delay:period cycle
-  in
-  Nk_sim.Sim.schedule t.sim ~daemon:true ~delay:period cycle
+  every t (Float.max 5.0 (t.cfg.Config.dht_ttl /. 2.0)) (fun () ->
+      Nk_cache.Http_cache.fold_fresh t.cache ~now:(now t) ~init:()
+        ~f:(fun () key expiry ->
+          let ttl = Float.min t.cfg.Config.dht_ttl (expiry -. now t) in
+          if ttl > 0.0 then
+            ignore (Nk_overlay.Dht.put dht ~now:(now t) ~from:(name t) ~key ~value:(name t) ~ttl)))
 
 (* Expired sloppy placements otherwise die only lazily, on the next
    lookup of their own key: a crowd that moves on leaves its copies
@@ -1648,29 +1548,22 @@ let start_reannouncer t dht =
    of lookup luck. Idempotent, so every hotspot-enabled node may run
    one against the shared index. *)
 let start_dht_sweeper t dht =
-  let period = Float.max 1.0 (t.cfg.Config.hotspot_ttl /. 2.0) in
-  let rec cycle () =
-    Nk_overlay.Dht.sweep dht ~now:(now t);
-    Nk_sim.Sim.schedule t.sim ~daemon:true ~delay:period cycle
-  in
-  Nk_sim.Sim.schedule t.sim ~daemon:true ~delay:period cycle
+  every t (Float.max 1.0 (t.cfg.Config.hotspot_ttl /. 2.0)) (fun () ->
+      Nk_overlay.Dht.sweep dht ~now:(now t))
 
 let start_log_poster t =
-  let rec cycle () =
-    Hashtbl.iter
-      (fun site url ->
-        match Hashtbl.find_opt t.log_entries site with
-        | Some entries when !entries <> [] ->
-          let body = String.concat "\n" (List.rev !entries) in
-          entries := [];
-          let req = Nk_http.Message.request ~meth:Nk_http.Method_.POST ~body url in
-          Nk_sim.Httpd.fetch t.web ~from:t.host req (fun _ ->
-              Nk_sim.Trace.incr t.trace "log-posts")
-        | _ -> ())
-      t.log_urls;
-    Nk_sim.Sim.schedule t.sim ~daemon:true ~delay:30.0 cycle
-  in
-  Nk_sim.Sim.schedule t.sim ~daemon:true ~delay:30.0 cycle
+  every t 30.0 (fun () ->
+      Hashtbl.iter
+        (fun site url ->
+          match Hashtbl.find_opt t.log_entries site with
+          | Some entries when !entries <> [] ->
+            let body = String.concat "\n" (List.rev !entries) in
+            entries := [];
+            let req = Nk_http.Message.request ~meth:Nk_http.Method_.POST ~body url in
+            Nk_sim.Httpd.fetch t.web ~from:t.host req (fun _ ->
+                Nk_sim.Trace.incr t.trace "log-posts")
+          | _ -> ())
+        t.log_urls)
 
 (* Publish the node's own load view as gauges every report interval, so
    [nakika stats --health] and merged benchmark registries can show
@@ -1679,27 +1572,22 @@ let start_health_gauges t =
   let period = t.cfg.Config.health_report_interval in
   if period > 0.0 then begin
     let was_down = ref false in
-    let rec cycle () =
-      let down = Nk_sim.Net.host_down t.net t.host in
-      (* Requests admitted before a crash died with the host: their
-         queue slots must not haunt admission after restart. *)
-      if !was_down && not down then
-        Option.iter Nk_resource.Admission.reset t.admission;
-      was_down := down;
-      if not down then begin
-        let h = health t in
-        let set = Nk_telemetry.Metrics.set_gauge t.metrics in
-        set "health.queue_delay" h.queue_delay;
-        set "health.shed_rate" h.shed_rate;
-        set "health.open_breakers" (float_of_int (List.length h.open_breakers));
-        set "health.quarantined_sites" (float_of_int (List.length h.quarantined));
-        match t.diffusion with
-        | Some _ -> set "diffusion.pressure" (pressure t)
-        | None -> ()
-      end;
-      Nk_sim.Sim.schedule t.sim ~daemon:true ~delay:period cycle
-    in
-    Nk_sim.Sim.schedule t.sim ~daemon:true ~delay:period cycle
+    every t period (fun () ->
+        let down = Nk_sim.Net.host_down t.net t.host in
+        (* Requests admitted before a crash died with the host: their
+           queue slots must not haunt admission after restart. *)
+        if !was_down && not down then
+          Option.iter Nk_resource.Admission.reset t.admission;
+        was_down := down;
+        if not down then begin
+          let h = health t in
+          let set = Nk_telemetry.Metrics.set_gauge t.metrics in
+          set "health.queue_delay" h.queue_delay;
+          set "health.shed_rate" h.shed_rate;
+          set "health.open_breakers" (float_of_int (List.length h.open_breakers));
+          set "health.quarantined_sites" (float_of_int (List.length h.quarantined));
+          if Option.is_some t.diffusion then set "diffusion.pressure" (pressure t)
+        end)
   end
 
 let create ~web ~host ?dht ?bus ?(config = Config.default) () =
@@ -1732,16 +1620,13 @@ let create ~web ~host ?dht ?bus ?(config = Config.default) () =
   let diffusion =
     match bus with
     | Some b when config.Config.enable_diffusion ->
-      let incarnation () =
-        match Nk_sim.Net.faults net with
-        | Some plan -> Nk_faults.Plan.incarnation plan ~now:(clock ()) node_name
-        | None -> 0
-      in
       Some
         {
           neighbors = Nk_diffusion.Neighbors.create ();
           offload =
-            Nk_diffusion.Offload.create ~name:node_name ~incarnation ~clock
+            Nk_diffusion.Offload.create ~name:node_name
+              ~incarnation:(fun () -> host_incarnation net host)
+              ~clock
               (* Non-daemon: a pending offload's timeout is the fallback
                  guarantee, so it must fire even when the target's crash
                  has left no other events (a daemon timer would let the
@@ -1759,7 +1644,7 @@ let create ~web ~host ?dht ?bus ?(config = Config.default) () =
       net;
       sim;
       host;
-      dht;
+      dht = (if config.Config.enable_dht then dht else None);
       bus;
       cfg = config;
       rng = Nk_util.Prng.create (config.Config.seed + String.length (Nk_sim.Net.host_name host));
@@ -1818,12 +1703,12 @@ let create ~web ~host ?dht ?bus ?(config = Config.default) () =
   Nk_cache.Http_cache.set_metrics t.cache metrics;
   Nk_sim.Httpd.serve web ~host ~hostnames:[ Nk_sim.Net.host_name host ] (fun req k ->
       handle t req k);
-  (match dht with
-   | Some dht when config.Config.enable_dht ->
-     ignore (Nk_overlay.Dht.join dht (name t));
-     start_reannouncer t dht;
-     if config.Config.enable_hotspots then start_dht_sweeper t dht
-   | _ -> ());
+  Option.iter
+    (fun dht ->
+      ignore (Nk_overlay.Dht.join dht (name t));
+      start_reannouncer t dht;
+      if config.Config.enable_hotspots then start_dht_sweeper t dht)
+    t.dht;
   if config.Config.enable_resource_controls then start_monitor t;
   (* The offload protocol rides the bus: each node owns a request topic
      (work addressed to it) and a reply topic (answers to work it
