@@ -59,7 +59,9 @@ type t = {
      CPU, so hosted scripts' own fetches run under it too. *)
   local_cidrs : Nk_http.Ip.cidr list;
   mutable terminated : string list;
-  mutable in_flight : int;
+  mutable in_flight : int * int;
+  (* (incarnation, requests inside [process]): requests in flight when
+     the host crashed died with it, so each incarnation counts afresh *)
   (* congestion windows *)
   mutable mem_window : float;
   mutable bw_window : float;
@@ -1003,8 +1005,15 @@ let process t ?span ?deadline (req : Nk_http.Message.request) =
   let started = now t in
   let site = Nk_http.Url.site req.Nk_http.Message.url in
   let costs = t.cfg.Config.costs in
-  t.in_flight <- t.in_flight + 1;
-  let concurrency = float_of_int t.in_flight *. costs.Config.concurrency_cpu in
+  let epoch = incarnation t in
+  let count = match t.in_flight with e, n when e = epoch -> n + 1 | _ -> 1 in
+  t.in_flight <- (epoch, count);
+  let concurrency = float_of_int count *. costs.Config.concurrency_cpu in
+  (* Leaves once, on success or on a pipeline exception; a straggler
+     from an incarnation that has since crashed has nothing to leave. *)
+  let leave () =
+    match t.in_flight with e, n when e = epoch -> t.in_flight <- (e, n - 1) | _ -> ()
+  in
   Option.iter
     (fun d ->
       set_attr span "deadline_remaining"
@@ -1018,40 +1027,45 @@ let process t ?span ?deadline (req : Nk_http.Message.request) =
   let saved_deadline = t.active_deadline in
   t.active_span <- span;
   t.active_deadline <- deadline;
+  let pipeline () =
+    if not t.cfg.Config.enable_pipeline then (content_fetch t ?span ?deadline req, 0, 0, 0)
+    else begin
+      let outcome =
+        Nk_pipeline.Pipeline.execute
+          ~load_stage:(fun url ->
+            let stage = load_stage t ?span url in
+            if Option.is_some stage then charge_cpu t costs.Config.predicate_eval;
+            stage)
+          ~fetch:(fun req -> content_fetch t ?span ?deadline req)
+          ?telemetry:(Option.map (fun s -> (t.tracer, s)) span)
+          req
+      in
+      set_attr span "source"
+        (match outcome.Nk_pipeline.Pipeline.source with
+         | Nk_pipeline.Pipeline.From_failure Nk_pipeline.Pipeline.Killed ->
+           Nk_sim.Trace.incr t.trace "dropped-termination";
+           "killed"
+         | Nk_pipeline.Pipeline.From_failure _ ->
+           Nk_sim.Trace.incr t.trace "script-errors";
+           "failure"
+         | Nk_pipeline.Pipeline.From_script stage_url -> "script:" ^ stage_url
+         | Nk_pipeline.Pipeline.From_origin -> "origin");
+      ( outcome.Nk_pipeline.Pipeline.response,
+        outcome.Nk_pipeline.Pipeline.fuel,
+        outcome.Nk_pipeline.Pipeline.heap,
+        outcome.Nk_pipeline.Pipeline.handlers_run )
+    end
+  in
   let response, fuel, heap, handlers =
-    Fun.protect
-      ~finally:(fun () ->
-        t.active_span <- saved;
-        t.active_deadline <- saved_deadline)
-      (fun () ->
-        if not t.cfg.Config.enable_pipeline then
-          (content_fetch t ?span ?deadline req, 0, 0, 0)
-        else begin
-          let outcome =
-            Nk_pipeline.Pipeline.execute
-              ~load_stage:(fun url ->
-                let stage = load_stage t ?span url in
-                if Option.is_some stage then charge_cpu t costs.Config.predicate_eval;
-                stage)
-              ~fetch:(fun req -> content_fetch t ?span ?deadline req)
-              ?telemetry:(Option.map (fun s -> (t.tracer, s)) span)
-              req
-          in
-          set_attr span "source"
-            (match outcome.Nk_pipeline.Pipeline.source with
-             | Nk_pipeline.Pipeline.From_failure Nk_pipeline.Pipeline.Killed ->
-               Nk_sim.Trace.incr t.trace "dropped-termination";
-               "killed"
-             | Nk_pipeline.Pipeline.From_failure _ ->
-               Nk_sim.Trace.incr t.trace "script-errors";
-               "failure"
-             | Nk_pipeline.Pipeline.From_script stage_url -> "script:" ^ stage_url
-             | Nk_pipeline.Pipeline.From_origin -> "origin");
-          ( outcome.Nk_pipeline.Pipeline.response,
-            outcome.Nk_pipeline.Pipeline.fuel,
-            outcome.Nk_pipeline.Pipeline.heap,
-            outcome.Nk_pipeline.Pipeline.handlers_run )
-        end)
+    match
+      Fun.protect pipeline ~finally:(fun () ->
+          t.active_span <- saved;
+          t.active_deadline <- saved_deadline)
+    with
+    | result -> result
+    | exception exn ->
+      leave ();
+      raise exn
   in
   (* Handler CPU: engine crossings, interpreter fuel, and allocation
      (GC/paging) pressure. *)
@@ -1065,7 +1079,7 @@ let process t ?span ?deadline (req : Nk_http.Message.request) =
      pressure occupy the CPU — limiting capacity — but overlap this
      request's network time rather than delaying its response. *)
   charge_cpu_background t (costs.Config.proxy_base +. concurrency +. crossing_cpu);
-  t.in_flight <- t.in_flight - 1;
+  leave ();
   let elapsed = now t -. started in
   let bytes = float_of_int (Nk_http.Message.content_length response) in
   account t ~site
@@ -1694,7 +1708,7 @@ let create ~web ~host ?dht ?bus ?(config = Config.default) () =
           (fun s -> Result.to_option (Nk_http.Ip.cidr_of_string s))
           config.Config.local_clients;
       terminated = [];
-      in_flight = 0;
+      in_flight = (0, 0);
       mem_window = 0.0;
       bw_window = 0.0;
       window_start = Nk_sim.Sim.now sim;

@@ -850,6 +850,46 @@ let test_hedged_fetch_beats_crashed_holder () =
   Alcotest.(check bool) "answered before the primary's timeout" true
     (!answered_at -. t0 < (Node.config c).Config.peer_timeout)
 
+let test_in_flight_reset_by_restart () =
+  (* Requests queued on the CPU when a host crashes die with it. The
+     restarted node must not keep charging their concurrency pressure
+     to later requests: its next request is accounted exactly like one
+     on a node that never crashed. *)
+  let plan = Core.Faults.Plan.create () in
+  Core.Faults.Plan.crash plan ~host:"nk-crash.nakika.net" ~at:(epoch +. 5.1)
+    ~restart:(epoch +. 8.0) ();
+  let cluster = Cluster.create ~faults:plan () in
+  ignore (basic_site cluster);
+  let config = Config.plain_proxy in
+  let crashed =
+    Cluster.add_proxy cluster ~name:"nk-crash.nakika.net" ~cpu_speed:0.01 ~config ()
+  in
+  let fresh = Cluster.add_proxy cluster ~name:"nk-fresh.nakika.net" ~cpu_speed:0.01 ~config () in
+  let client = Cluster.add_client cluster ~name:"c1" in
+  let req () = Message.request "http://www.example.edu/index.html" in
+  (* Warm both caches: later requests then wait for the CPU (a cache
+     hit's charge), where a crash kills them, not for the network. *)
+  ignore (fetch_sync cluster ~client ~proxy:crashed (req ()));
+  ignore (fetch_sync cluster ~client ~proxy:fresh (req ()));
+  let sim = Cluster.sim cluster in
+  Core.Sim.Sim.run ~until:(epoch +. 5.0) sim;
+  for _ = 1 to 5 do
+    Cluster.fetch cluster ~client ~proxy:crashed (req ()) ignore
+  done;
+  Core.Sim.Sim.run ~until:(epoch +. 9.0) sim;
+  let cpu node =
+    Core.Resource.Accounting.interval_consumption (Node.accounting node)
+      ~site:"www.example.edu" Core.Resource.Resource.Cpu
+  in
+  let next_request_cpu node =
+    let before = cpu node in
+    ignore (fetch_sync cluster ~client ~proxy:node (req ()));
+    cpu node -. before
+  in
+  let expected = next_request_cpu fresh in
+  Alcotest.(check (float 1e-12)) "no concurrency charged for dead requests" expected
+    (next_request_cpu crashed)
+
 let test_dht_sweeper_expires_idle_placements () =
   (* Regression for the sweeper daemon: sloppy placements on a key the
      crowd has abandoned must vanish without any further lookup
@@ -982,6 +1022,8 @@ let suite =
       test_deadline_clamps_origin_timeout;
     Alcotest.test_case "hedging: backup replica beats a crashed holder" `Quick
       test_hedged_fetch_beats_crashed_holder;
+    Alcotest.test_case "restart drops the dead requests' concurrency charge" `Quick
+      test_in_flight_reset_by_restart;
     Alcotest.test_case "hotspots: sweeper expires idle placements" `Quick
       test_dht_sweeper_expires_idle_placements;
     Alcotest.test_case "config validation: tail-tolerance knobs" `Quick
