@@ -27,9 +27,8 @@ type t = {
   stage_cache : stage_entry Nk_cache.Memo_cache.t;
   negative : unit Nk_cache.Memo_cache.t;
   accounting : Nk_resource.Accounting.t;
-  mutable monitor : Nk_resource.Monitor.t option;
-  throttles : (Nk_resource.Resource.t, (string, float) Hashtbl.t) Hashtbl.t;
-  (* per resource: site -> reject probability *)
+  monitor : Nk_resource.Monitor.t option;
+  (* Fig. 6 congestion control; None = resource controls off *)
   quarantine : Nk_resource.Quarantine.t;
   (* terminated sites serve escalating, decaying ban windows *)
   admission : Nk_resource.Admission.t option;
@@ -58,14 +57,9 @@ type t = {
   (* Same discipline for the deadline budget of the request on the
      CPU, so hosted scripts' own fetches run under it too. *)
   local_cidrs : Nk_http.Ip.cidr list;
-  mutable terminated : string list;
   mutable in_flight : int * int;
   (* (incarnation, requests inside [process]): requests in flight when
      the host crashed died with it, so each incarnation counts afresh *)
-  (* congestion windows *)
-  mutable mem_window : float;
-  mutable bw_window : float;
-  mutable window_start : float;
 }
 
 let host t = t.host
@@ -92,7 +86,8 @@ let quarantine t = t.quarantine
 
 let admission t = t.admission
 
-let terminated_sites t = t.terminated
+let terminated_sites t =
+  match t.monitor with Some m -> Nk_resource.Monitor.terminated m | None -> []
 
 let stage_cache_entries t = Nk_cache.Memo_cache.size t.stage_cache
 
@@ -144,6 +139,12 @@ let charge_cpu t seconds =
    thus limits throughput, but overlaps this request's network time. *)
 let charge_cpu_background t seconds =
   if seconds > 0.0 then Nk_sim.Net.cpu_run t.net t.host ~seconds (fun () -> ())
+
+(* Usage a site consumed: its accounting (the [site.usage] scripts
+   see) and the monitor's congestion windows take the same amounts. *)
+let charge t ~site resource amount =
+  Nk_resource.Accounting.charge t.accounting ~site resource amount;
+  match t.monitor with Some m -> Nk_resource.Monitor.observe m resource amount | None -> ()
 
 (* --- overload resilience --------------------------------------------- *)
 
@@ -745,8 +746,7 @@ let hostcall t ~site ~load_wall : Nk_vocab.Hostcall.t =
               | None -> content_fetch t ?span:sp ?deadline:t.active_deadline req)
         in
         let bytes = float_of_int (Nk_http.Message.content_length resp) in
-        Nk_resource.Accounting.charge t.accounting ~site Nk_resource.Resource.Bandwidth bytes;
-        t.bw_window <- t.bw_window +. bytes;
+        charge t ~site Nk_resource.Resource.Bandwidth bytes;
         resp);
     cache_lookup =
       (fun key -> Nk_cache.Http_cache.lookup t.cache ~now:(now t) ~key:(vocab_key key));
@@ -961,20 +961,6 @@ let invalidate_stage t ~url = Nk_cache.Memo_cache.remove t.stage_cache url
 
 (* --- request processing ---------------------------------------------- *)
 
-let throttle_fraction t site =
-  Hashtbl.fold
-    (fun _resource table acc ->
-      match Hashtbl.find_opt table site with Some f -> Float.max acc f | None -> acc)
-    t.throttles 0.0
-
-let resource_throttles t resource =
-  match Hashtbl.find_opt t.throttles resource with
-  | Some table -> table
-  | None ->
-    let table = Hashtbl.create 8 in
-    Hashtbl.add t.throttles resource table;
-    table
-
 let access_log t ~site ~(req : Nk_http.Message.request) ~(resp : Nk_http.Message.response) =
   if Hashtbl.mem t.log_urls site then begin
     let entry =
@@ -989,14 +975,12 @@ let access_log t ~site ~(req : Nk_http.Message.request) ~(resp : Nk_http.Message
   end
 
 let account t ~site ~cpu ~heap ~bytes ~elapsed =
-  let charge = Nk_resource.Accounting.charge t.accounting ~site in
+  let charge = charge t ~site in
   charge Nk_resource.Resource.Cpu cpu;
   charge Nk_resource.Resource.Memory heap;
   charge Nk_resource.Resource.Bandwidth bytes;
   charge Nk_resource.Resource.Running_time elapsed;
-  charge Nk_resource.Resource.Bytes_transferred bytes;
-  t.mem_window <- t.mem_window +. heap;
-  t.bw_window <- t.bw_window +. bytes
+  charge Nk_resource.Resource.Bytes_transferred bytes
 
 (* Process one client request inside a cothread; returns the response
    plus the interpreter fuel and heap the pipeline consumed (offload
@@ -1168,9 +1152,13 @@ let gate t ~site deadline =
       ("banned-site", retry_after_response (Nk_resource.Quarantine.remaining t.quarantine ~site))
   end
   else if
-    (* Only the monitor writes throttle tables, so without resource
-       controls the fraction is 0 and nothing is drawn. *)
-    let fraction = throttle_fraction t site in
+    (* Without resource controls there is no monitor, the fraction is
+       0 and nothing is drawn. *)
+    let fraction =
+      match t.monitor with
+      | Some m -> Nk_resource.Monitor.throttle_fraction m ~site
+      | None -> 0.0
+    in
     fraction > 0.0 && Nk_util.Prng.float t.rng 1.0 < fraction
   then begin
     Nk_sim.Trace.incr t.trace "rejected-throttle";
@@ -1447,90 +1435,21 @@ let handle t (req : Nk_http.Message.request) k =
       | Some plan -> attempt_offload t ~site ~plan ?deadline req k ~fallback:local)
   end
 
-(* --- congestion control (Fig. 6 scheduling) --------------------------- *)
+(* --- congestion control (Fig. 6) ------------------------------------ *)
 
-let window_rate t value =
-  let dt = now t -. t.window_start in
-  if dt <= 0.0 then 0.0 else value /. dt
-
-let reset_window t =
-  t.mem_window <- 0.0;
-  t.bw_window <- 0.0;
-  t.window_start <- now t
-
-(* The final (post-timeout) check uses a higher bar: termination is for
-   congestion that throttling demonstrably cannot clear, not for a node
-   hovering at its capacity. *)
-let is_congested t ~final resource =
-  let scale = if final then 3.0 else 1.0 in
-  match resource with
-  | Nk_resource.Resource.Cpu ->
-    Nk_sim.Net.cpu_backlog t.net t.host > scale *. t.cfg.Config.cpu_congestion_backlog
-  | Nk_resource.Resource.Memory ->
-    window_rate t t.mem_window
-    >= scale *. t.cfg.Config.memory_congestion_bytes /. t.cfg.Config.control_interval
-  | Nk_resource.Resource.Bandwidth ->
-    window_rate t t.bw_window
-    >= scale *. t.cfg.Config.bandwidth_congestion_bytes /. t.cfg.Config.control_interval
-  | Nk_resource.Resource.Running_time | Nk_resource.Resource.Bytes_transferred -> false
-
-let terminate_site t ~site =
-  t.terminated <- site :: t.terminated;
-  (* Kill the scripting contexts of every cached stage owned by the
-     site; in-flight pipelines die at their next evaluation step. *)
+(* The one Fig. 6 action only a node can take: kill the scripting
+   contexts of the site's cached stage (in-flight pipelines die at their
+   next evaluation step) and refuse the site's requests for an
+   escalating, decaying ban window — repeat offenders wait longer,
+   reformed ones recover. *)
+let terminate_site ~stage_cache ~quarantine ~now ~site =
   let url = site_script_url site in
-  (match Nk_cache.Memo_cache.find t.stage_cache ~now:(now t) url with
+  (match Nk_cache.Memo_cache.find stage_cache ~now url with
    | Some entry when entry.site = site ->
      Nk_script.Interp.kill (Nk_pipeline.Stage.context entry.stage);
-     Nk_cache.Memo_cache.remove t.stage_cache url
+     Nk_cache.Memo_cache.remove stage_cache url
    | _ -> ());
-  (* Refuse the site's requests for an escalating (but decaying) ban
-     window — repeat offenders wait longer, reformed ones recover. *)
-  ignore (Nk_resource.Quarantine.punish t.quarantine ~site)
-
-let start_monitor t =
-  let accounting = t.accounting in
-  let monitor =
-    Nk_resource.Monitor.create ~accounting
-      ~is_congested:(fun ~final r -> is_congested t ~final r)
-      ~throttle:(fun ~site ~fraction ~resource ->
-        (* [fraction] is the site's contribution to congestion; scale it
-           by the congestion severity so a single active site is not
-           blocked outright when the node is only slightly over. *)
-        let severity =
-          let backlog = Nk_sim.Net.cpu_backlog t.net t.host in
-          let cpu_sev =
-            if backlog <= t.cfg.Config.cpu_congestion_backlog then 0.0
-            else 1.0 -. (t.cfg.Config.cpu_congestion_backlog /. backlog)
-          in
-          let mem_rate = window_rate t t.mem_window in
-          let mem_limit = t.cfg.Config.memory_congestion_bytes /. t.cfg.Config.control_interval in
-          let mem_sev = if mem_rate <= mem_limit then 0.0 else 1.0 -. (mem_limit /. mem_rate) in
-          Float.min 0.95 (Float.max cpu_sev mem_sev)
-        in
-        let table = resource_throttles t resource in
-        let existing =
-          match Hashtbl.find_opt table site with Some f -> f | None -> 0.0
-        in
-        Hashtbl.replace table site (Float.max existing (fraction *. severity)))
-      ~unthrottle:(fun resource -> Hashtbl.reset (resource_throttles t resource))
-      ~terminate:(fun ~site -> terminate_site t ~site)
-      ~events:t.events ~metrics:t.metrics ()
-  in
-  t.monitor <- Some monitor;
-  let rec cycle () =
-    List.iter (fun r -> ignore (Nk_resource.Monitor.begin_control monitor r)) Nk_resource.Resource.all;
-    reset_window t;
-    Nk_sim.Sim.schedule t.sim ~daemon:true ~delay:t.cfg.Config.control_timeout (fun () ->
-        List.iter
-          (fun r -> ignore (Nk_resource.Monitor.finish_control monitor r))
-          Nk_resource.Resource.all;
-        reset_window t;
-        Nk_sim.Sim.schedule t.sim ~daemon:true
-          ~delay:(Float.max 0.05 (t.cfg.Config.control_interval -. t.cfg.Config.control_timeout))
-          cycle)
-  in
-  Nk_sim.Sim.schedule t.sim ~daemon:true ~delay:t.cfg.Config.control_interval cycle
+  ignore (Nk_resource.Quarantine.punish quarantine ~site)
 
 (* --- periodic upkeep and access-log posting (§3.3) ---------------------- *)
 
@@ -1652,6 +1571,30 @@ let create ~web ~host ?dht ?bus ?(config = Config.default) () =
         }
     | _ -> None
   in
+  let stage_cache = Nk_cache.Memo_cache.create () in
+  let accounting = Nk_resource.Accounting.create () in
+  let quarantine =
+    Nk_resource.Quarantine.create ~base:config.Config.termination_penalty
+      ~max_window:config.Config.quarantine_max ~decay:config.Config.quarantine_decay
+      ~site_params:config.Config.site_quarantine ~clock ~metrics ()
+  in
+  let events = Nk_telemetry.Events.create ~clock () in
+  let monitor =
+    if config.Config.enable_resource_controls then
+      Some
+        (Nk_resource.Monitor.create ~accounting
+           ~cpu_congestion_backlog:config.Config.cpu_congestion_backlog
+           ~memory_congestion_bytes:config.Config.memory_congestion_bytes
+           ~bandwidth_congestion_bytes:config.Config.bandwidth_congestion_bytes
+           ~control_interval:config.Config.control_interval
+           ~control_timeout:config.Config.control_timeout
+           ~cpu_backlog:(fun () -> Nk_sim.Net.cpu_backlog net host)
+           ~clock
+           ~schedule:(fun delay k -> Nk_sim.Sim.schedule sim ~daemon:true ~delay k)
+           ~terminate:(fun ~site -> terminate_site ~stage_cache ~quarantine ~now:(clock ()) ~site)
+           ~events ~metrics ())
+    else None
+  in
   let t =
     {
       web;
@@ -1663,15 +1606,11 @@ let create ~web ~host ?dht ?bus ?(config = Config.default) () =
       cfg = config;
       rng = Nk_util.Prng.create (config.Config.seed + String.length (Nk_sim.Net.host_name host));
       cache = Nk_cache.Http_cache.create ~max_bytes:config.Config.cache_bytes ();
-      stage_cache = Nk_cache.Memo_cache.create ();
+      stage_cache;
       negative = Nk_cache.Memo_cache.create ();
-      accounting = Nk_resource.Accounting.create ();
-      monitor = None;
-      throttles = Hashtbl.create 4;
-      quarantine =
-        Nk_resource.Quarantine.create ~base:config.Config.termination_penalty
-          ~max_window:config.Config.quarantine_max ~decay:config.Config.quarantine_decay
-          ~site_params:config.Config.site_quarantine ~clock ~metrics ();
+      accounting;
+      monitor;
+      quarantine;
       admission =
         (if config.Config.enable_admission then
            Some
@@ -1700,18 +1639,14 @@ let create ~web ~host ?dht ?bus ?(config = Config.default) () =
       trace = Nk_sim.Trace.create ~registry:metrics ();
       metrics;
       tracer = Nk_telemetry.Tracer.create ~capacity:config.Config.trace_capacity ~clock ();
-      events = Nk_telemetry.Events.create ~clock ();
+      events;
       active_span = None;
       active_deadline = None;
       local_cidrs =
         List.filter_map
           (fun s -> Result.to_option (Nk_http.Ip.cidr_of_string s))
           config.Config.local_clients;
-      terminated = [];
       in_flight = (0, 0);
-      mem_window = 0.0;
-      bw_window = 0.0;
-      window_start = Nk_sim.Sim.now sim;
     }
   in
   Nk_cache.Http_cache.set_metrics t.cache metrics;
@@ -1723,7 +1658,7 @@ let create ~web ~host ?dht ?bus ?(config = Config.default) () =
       start_reannouncer t dht;
       if config.Config.enable_hotspots then start_dht_sweeper t dht)
     t.dht;
-  if config.Config.enable_resource_controls then start_monitor t;
+  Option.iter Nk_resource.Monitor.start t.monitor;
   (* The offload protocol rides the bus: each node owns a request topic
      (work addressed to it) and a reply topic (answers to work it
      shipped). Point-to-point semantics over pub/sub, with the bus's

@@ -55,6 +55,8 @@ val cache : t -> Nk_cache.Http_cache.t
 val accounting : t -> Nk_resource.Accounting.t
 
 val monitor : t -> Nk_resource.Monitor.t option
+(** The Fig. 6 congestion controller ([None] when
+    [Config.enable_resource_controls] is off). *)
 
 val quarantine : t -> Nk_resource.Quarantine.t
 (** The escalating ban windows of terminated sites. *)

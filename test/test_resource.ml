@@ -14,9 +14,11 @@ let test_charge_accumulates () =
   let a = Accounting.create () in
   Accounting.charge a ~site:"s" Resource.Cpu 1.0;
   Accounting.charge a ~site:"s" Resource.Cpu 2.0;
+  Accounting.charge a ~site:"t" Resource.Cpu 4.0;
   Alcotest.(check (float 1e-9)) "interval sum" 3.0
     (Accounting.interval_consumption a ~site:"s" Resource.Cpu);
-  Alcotest.(check (float 1e-9)) "total" 3.0 (Accounting.total_interval a Resource.Cpu)
+  Alcotest.(check (float 1e-9)) "per site" 4.0
+    (Accounting.interval_consumption a ~site:"t" Resource.Cpu)
 
 let test_renewable_only_counts_under_congestion () =
   let a = Accounting.create ~alpha:1.0 () in
@@ -61,57 +63,52 @@ let test_penalization_decays () =
   done;
   Alcotest.(check bool) "decayed" true (Accounting.usage a ~site:"s" Resource.Cpu < 0.2)
 
-let test_contribution_shares () =
-  let a = Accounting.create ~alpha:1.0 () in
-  Accounting.charge a ~site:"big" Resource.Cpu 9.0;
-  Accounting.charge a ~site:"small" Resource.Cpu 1.0;
-  Accounting.close_resource_interval a Resource.Cpu ~congested:true;
-  Alcotest.(check (float 1e-9)) "big share" 0.9 (Accounting.contribution a ~site:"big" Resource.Cpu);
-  Alcotest.(check (float 1e-9)) "small share" 0.1
-    (Accounting.contribution a ~site:"small" Resource.Cpu);
-  Alcotest.(check (float 1e-9)) "unknown site" 0.0
-    (Accounting.contribution a ~site:"nobody" Resource.Cpu)
-
-let test_active_sites_and_forget () =
+let test_active_sites_sorted () =
   let a = Accounting.create () in
   Accounting.charge a ~site:"b" Resource.Cpu 1.0;
   Accounting.charge a ~site:"a" Resource.Cpu 1.0;
-  Alcotest.(check (list string)) "sorted" [ "a"; "b" ] (Accounting.active_sites a);
-  Accounting.forget a ~site:"a";
-  Alcotest.(check (list string)) "forgotten" [ "b" ] (Accounting.active_sites a)
+  Alcotest.(check (list string)) "sorted" [ "a"; "b" ] (Accounting.active_sites a)
 
 (* --- the CONTROL algorithm -------------------------------------------- *)
 
+(* A monitor on a hand-driven clock and CPU backlog: the CPU threshold
+   is 1 s of backlog (so a backlog of 10 s is congested even by the
+   final, 3x bar, at severity 1 - 1/10 = 0.9), memory and bandwidth
+   congest at 100 bytes per 1 s interval. [start] queues its timers in
+   [timers] instead of running them. *)
 type harness = {
   accounting : Accounting.t;
   monitor : Monitor.t;
-  congested : (Resource.t, bool) Hashtbl.t;
-  throttled : (string * float) list ref;
-  unthrottled : int ref;
+  backlog : float ref;
+  clock : float ref;
+  timers : (float * (unit -> unit)) Queue.t;
   killed : string list ref;
 }
 
-let make_harness () =
+let make_harness ?events ?metrics () =
   let accounting = Accounting.create ~alpha:1.0 () in
-  let congested = Hashtbl.create 4 in
-  let throttled = ref [] in
-  let unthrottled = ref 0 in
+  let backlog = ref 0.0 in
+  let clock = ref 0.0 in
+  let timers = Queue.create () in
   let killed = ref [] in
   let monitor =
-    Monitor.create ~accounting
-      ~is_congested:(fun ~final:_ r -> Option.value (Hashtbl.find_opt congested r) ~default:false)
-      ~throttle:(fun ~site ~fraction ~resource:_ -> throttled := (site, fraction) :: !throttled)
-      ~unthrottle:(fun _ -> incr unthrottled)
+    Monitor.create ~accounting ~cpu_congestion_backlog:1.0 ~memory_congestion_bytes:100.0
+      ~bandwidth_congestion_bytes:100.0 ~control_interval:1.0 ~control_timeout:0.5
+      ~cpu_backlog:(fun () -> !backlog)
+      ~clock:(fun () -> !clock)
+      ~schedule:(fun delay k -> Queue.push (delay, k) timers)
       ~terminate:(fun ~site -> killed := site :: !killed)
-      ()
+      ?events ?metrics ()
   in
-  { accounting; monitor; congested; throttled; unthrottled; killed }
+  { accounting; monitor; backlog; clock; timers; killed }
+
+let fraction h site = Monitor.throttle_fraction h.monitor ~site
 
 let test_control_idle_when_clear () =
   let h = make_harness () in
   Accounting.charge h.accounting ~site:"s" Resource.Cpu 100.0;
   Alcotest.(check bool) "clear" true (Monitor.begin_control h.monitor Resource.Cpu = `Clear);
-  Alcotest.(check bool) "no throttles" true (!(h.throttled) = []);
+  Alcotest.(check (float 1e-9)) "no throttles" 0.0 (fraction h "s");
   Alcotest.(check bool) "unthrottled at finish" true
     (Monitor.finish_control h.monitor Resource.Cpu = `Unthrottled);
   Alcotest.(check bool) "nobody killed" true (!(h.killed) = [])
@@ -120,42 +117,46 @@ let test_control_throttles_proportionally () =
   let h = make_harness () in
   Accounting.charge h.accounting ~site:"hog" Resource.Cpu 3.0;
   Accounting.charge h.accounting ~site:"meek" Resource.Cpu 1.0;
-  Hashtbl.replace h.congested Resource.Cpu true;
+  h.backlog := 10.0;
   (match Monitor.begin_control h.monitor Resource.Cpu with
    | `Congested fractions ->
      Alcotest.(check (float 1e-9)) "hog fraction" 0.75 (List.assoc "hog" fractions);
      Alcotest.(check (float 1e-9)) "meek fraction" 0.25 (List.assoc "meek" fractions)
    | `Clear -> Alcotest.fail "expected congestion");
-  Alcotest.(check int) "both throttled" 2 (List.length !(h.throttled))
+  (* The refusal probability is the contribution scaled by severity. *)
+  Alcotest.(check (float 1e-9)) "hog throttled" (0.75 *. 0.9) (fraction h "hog");
+  Alcotest.(check (float 1e-9)) "meek throttled" (0.25 *. 0.9) (fraction h "meek")
 
 let test_control_kills_top_offender_if_congestion_persists () =
   let h = make_harness () in
   Accounting.charge h.accounting ~site:"hog" Resource.Cpu 9.0;
   Accounting.charge h.accounting ~site:"meek" Resource.Cpu 1.0;
-  Hashtbl.replace h.congested Resource.Cpu true;
+  h.backlog := 10.0;
   ignore (Monitor.begin_control h.monitor Resource.Cpu);
   (* congestion persists through the timeout *)
   (match Monitor.finish_control h.monitor Resource.Cpu with
    | `Terminated site -> Alcotest.(check string) "largest contributor dies" "hog" site
    | `Unthrottled -> Alcotest.fail "expected termination");
   Alcotest.(check (list string)) "kill callback" [ "hog" ] !(h.killed);
+  Alcotest.(check (list string)) "terminated" [ "hog" ] (Monitor.terminated h.monitor);
   Alcotest.(check int) "termination counted" 1 (Monitor.terminations h.monitor)
 
 let test_control_unthrottles_if_congestion_clears () =
   let h = make_harness () in
   Accounting.charge h.accounting ~site:"s" Resource.Cpu 5.0;
-  Hashtbl.replace h.congested Resource.Cpu true;
+  h.backlog := 10.0;
   ignore (Monitor.begin_control h.monitor Resource.Cpu);
-  Hashtbl.replace h.congested Resource.Cpu false (* throttling took effect *);
+  Alcotest.(check bool) "throttled" true (fraction h "s" > 0.0);
+  h.backlog := 0.0 (* throttling took effect *);
   Alcotest.(check bool) "unthrottled" true
     (Monitor.finish_control h.monitor Resource.Cpu = `Unthrottled);
   Alcotest.(check bool) "nobody killed" true (!(h.killed) = []);
-  Alcotest.(check bool) "unthrottle callback ran" true (!(h.unthrottled) >= 1)
+  Alcotest.(check (float 1e-9)) "throttle lifted" 0.0 (fraction h "s")
 
 let test_control_no_ghost_kill () =
   (* finish_control with no prior begin ranks nobody. *)
   let h = make_harness () in
-  Hashtbl.replace h.congested Resource.Cpu true;
+  h.backlog := 10.0;
   Alcotest.(check bool) "no pending queue" true
     (Monitor.finish_control h.monitor Resource.Cpu = `Unthrottled)
 
@@ -163,7 +164,7 @@ let test_control_per_resource_isolation () =
   let h = make_harness () in
   Accounting.charge h.accounting ~site:"s" Resource.Cpu 1.0;
   Accounting.charge h.accounting ~site:"s" Resource.Memory 1.0;
-  Hashtbl.replace h.congested Resource.Cpu true;
+  h.backlog := 10.0;
   ignore (Monitor.begin_control h.monitor Resource.Cpu);
   ignore (Monitor.begin_control h.monitor Resource.Memory);
   (* only cpu was congested; memory usage (renewable) folded as zero *)
@@ -171,28 +172,62 @@ let test_control_per_resource_isolation () =
   Alcotest.(check (float 1e-9)) "memory not counted" 0.0
     (Accounting.usage h.accounting ~site:"s" Resource.Memory)
 
+let test_control_memory_window () =
+  (* Memory congestion is a rate over the window: 200 bytes observed in
+     1 s against a 100 bytes/s threshold is congested, at severity
+     1 - 100/200. *)
+  let h = make_harness () in
+  Accounting.charge h.accounting ~site:"bomb" Resource.Memory 200.0;
+  Monitor.observe h.monitor Resource.Memory 200.0;
+  Alcotest.(check bool) "no rate before time passes" true
+    (Monitor.begin_control h.monitor Resource.Memory = `Clear);
+  Accounting.charge h.accounting ~site:"bomb" Resource.Memory 200.0;
+  h.clock := 1.0;
+  (match Monitor.begin_control h.monitor Resource.Memory with
+   | `Congested [ ("bomb", share) ] -> Alcotest.(check (float 1e-9)) "whole share" 1.0 share
+   | _ -> Alcotest.fail "expected memory congestion");
+  Alcotest.(check (float 1e-9)) "throttled by severity" 0.5 (fraction h "bomb");
+  (* 200 bytes/s is under the final 3x bar: restore, don't kill. *)
+  Alcotest.(check bool) "unthrottled" true
+    (Monitor.finish_control h.monitor Resource.Memory = `Unthrottled)
+
+let test_control_cycle_schedule () =
+  (* [start] arms one timer; the begin phase then arms the timeout, the
+     finish phase the rest of the interval, and each phase resets the
+     windows. *)
+  let h = make_harness () in
+  let next () =
+    let delay, k = Queue.pop h.timers in
+    h.clock := !(h.clock) +. delay;
+    k ();
+    delay
+  in
+  Monitor.start h.monitor;
+  Alcotest.(check int) "one timer armed" 1 (Queue.length h.timers);
+  Accounting.charge h.accounting ~site:"bomb" Resource.Memory 1000.0;
+  Monitor.observe h.monitor Resource.Memory 1000.0;
+  Alcotest.(check (float 1e-9)) "first cycle after an interval" 1.0 (next ());
+  Alcotest.(check bool) "begin throttled" true (fraction h "bomb" > 0.0);
+  Alcotest.(check (float 1e-9)) "finish after the timeout" 0.5 (next ());
+  Alcotest.(check (list string)) "window was reset: nobody killed" [] !(h.killed);
+  Alcotest.(check (float 1e-9)) "throttle lifted" 0.0 (fraction h "bomb");
+  Alcotest.(check (float 1e-9)) "next cycle after the rest" 0.5 (next ());
+  Alcotest.(check int) "still one timer" 1 (Queue.length h.timers)
+
 let test_control_unthrottle_event () =
   (* Restoration is auditable: lifting the clamp emits one structured
      [unthrottle] event (and counter tick) per previously throttled
      site, symmetric with [throttle]/[terminate]. *)
-  let accounting = Accounting.create ~alpha:1.0 () in
-  let congested = ref true in
   let events = Core.Telemetry.Events.create () in
   let metrics = Core.Telemetry.Metrics.create () in
-  let monitor =
-    Monitor.create ~accounting
-      ~is_congested:(fun ~final:_ _ -> !congested)
-      ~throttle:(fun ~site:_ ~fraction:_ ~resource:_ -> ())
-      ~unthrottle:(fun _ -> ())
-      ~terminate:(fun ~site:_ -> ())
-      ~events ~metrics ()
-  in
-  Accounting.charge accounting ~site:"hog" Resource.Cpu 3.0;
-  Accounting.charge accounting ~site:"meek" Resource.Cpu 1.0;
-  ignore (Monitor.begin_control monitor Resource.Cpu);
-  congested := false;
+  let h = make_harness ~events ~metrics () in
+  Accounting.charge h.accounting ~site:"hog" Resource.Cpu 3.0;
+  Accounting.charge h.accounting ~site:"meek" Resource.Cpu 1.0;
+  h.backlog := 10.0;
+  ignore (Monitor.begin_control h.monitor Resource.Cpu);
+  h.backlog := 0.0;
   Alcotest.(check bool) "unthrottled" true
-    (Monitor.finish_control monitor Resource.Cpu = `Unthrottled);
+    (Monitor.finish_control h.monitor Resource.Cpu = `Unthrottled);
   let unthrottles =
     List.filter
       (fun (e : Core.Telemetry.Events.event) -> e.Core.Telemetry.Events.name = "unthrottle")
@@ -219,43 +254,56 @@ let test_control_unthrottle_event () =
 let test_control_no_unthrottle_event_when_idle () =
   (* A control cycle that never throttled anyone has nothing to restore:
      no spurious events. *)
-  let h = make_harness () in
   let events = Core.Telemetry.Events.create () in
-  let monitor =
-    Monitor.create ~accounting:h.accounting
-      ~is_congested:(fun ~final:_ _ -> false)
-      ~throttle:(fun ~site:_ ~fraction:_ ~resource:_ -> ())
-      ~unthrottle:(fun _ -> ())
-      ~terminate:(fun ~site:_ -> ())
-      ~events ()
-  in
-  ignore (Monitor.begin_control monitor Resource.Cpu);
-  ignore (Monitor.finish_control monitor Resource.Cpu);
+  let h = make_harness ~events () in
+  ignore (Monitor.begin_control h.monitor Resource.Cpu);
+  ignore (Monitor.finish_control h.monitor Resource.Cpu);
   Alcotest.(check int) "no events" 0 (Core.Telemetry.Events.count events)
 
-(* --- accounting edge cases ------------------------------------------- *)
-
-let test_close_interval_zero_sites () =
-  (* Fig. 6's UPDATE with nothing running: a no-op, not a crash. *)
-  let a = Accounting.create () in
-  Accounting.close_interval a ~congested:(fun _ -> true);
-  Accounting.close_interval a ~congested:(fun _ -> false);
-  Alcotest.(check (list string)) "still no sites" [] (Accounting.active_sites a);
-  Alcotest.(check (float 1e-9)) "no total" 0.0 (Accounting.total_interval a Resource.Cpu)
+let test_contribution_shares () =
+  (* A congested resource throttles each site by its share of the summed
+     usage; a site with no usage is not ranked and never throttled. *)
+  let h = make_harness () in
+  Accounting.charge h.accounting ~site:"big" Resource.Cpu 9.0;
+  Accounting.charge h.accounting ~site:"small" Resource.Cpu 1.0;
+  h.backlog := 10.0;
+  match Monitor.begin_control h.monitor Resource.Cpu with
+  | `Congested shares ->
+    Alcotest.(check (list string)) "ranked largest first" [ "big"; "small" ] (List.map fst shares);
+    Alcotest.(check (float 1e-9)) "big share" 0.9 (List.assoc "big" shares);
+    Alcotest.(check (float 1e-9)) "small share" 0.1 (List.assoc "small" shares);
+    Alcotest.(check (float 1e-9)) "unknown site" 0.0 (fraction h "nobody")
+  | `Clear -> Alcotest.fail "expected congestion"
 
 let test_contribution_with_zero_total () =
   (* A site whose averaged usage is 0 (and a node whose total is 0)
      contributes 0, not NaN. *)
-  let a = Accounting.create ~alpha:1.0 () in
-  Alcotest.(check (float 1e-9)) "empty accounting" 0.0
-    (Accounting.contribution a ~site:"s" Resource.Cpu);
+  let h = make_harness () in
+  h.backlog := 10.0;
+  Alcotest.(check bool) "empty accounting ranks nobody" true
+    (Monitor.begin_control h.monitor Resource.Cpu = `Congested []);
   (* Fold an uncongested interval: renewable usage stays 0 but the site
      is known — the division by a zero total must still guard. *)
-  Accounting.charge a ~site:"s" Resource.Cpu 5.0;
-  Accounting.close_resource_interval a Resource.Cpu ~congested:false;
-  let c = Accounting.contribution a ~site:"s" Resource.Cpu in
-  Alcotest.(check (float 1e-9)) "zero total guarded" 0.0 c;
-  Alcotest.(check bool) "not nan" false (Float.is_nan c)
+  Accounting.charge h.accounting ~site:"s" Resource.Cpu 5.0;
+  Accounting.close_resource_interval h.accounting Resource.Cpu ~congested:false;
+  Alcotest.(check bool) "zero usage ranks nobody" true
+    (Monitor.begin_control h.monitor Resource.Cpu = `Congested []);
+  let f = fraction h "s" in
+  Alcotest.(check (float 1e-9)) "zero total guarded" 0.0 f;
+  Alcotest.(check bool) "not nan" false (Float.is_nan f)
+
+(* --- accounting edge cases ------------------------------------------- *)
+
+let test_close_resource_interval_zero_sites () =
+  (* Fig. 6's UPDATE with nothing running: a no-op, not a crash. *)
+  let a = Accounting.create () in
+  List.iter
+    (fun r ->
+      Accounting.close_resource_interval a r ~congested:true;
+      Accounting.close_resource_interval a r ~congested:false)
+    Resource.all;
+  Alcotest.(check (list string)) "still no sites" [] (Accounting.active_sites a);
+  Alcotest.(check (float 1e-9)) "no usage" 0.0 (Accounting.usage a ~site:"s" Resource.Cpu)
 
 (* --- admission control ------------------------------------------------ *)
 
@@ -554,7 +602,7 @@ let throttle_fractions_sum_to_one_prop =
         (fun i load ->
           Accounting.charge h.accounting ~site:(Printf.sprintf "s%d" i) Resource.Cpu load)
         loads;
-      Hashtbl.replace h.congested Resource.Cpu true;
+      h.backlog := 10.0;
       match Monitor.begin_control h.monitor Resource.Cpu with
       | `Congested fractions ->
         let total = List.fold_left (fun acc (_, f) -> acc +. f) 0.0 fractions in
@@ -695,7 +743,7 @@ let suite =
     Alcotest.test_case "usage is a weighted average" `Quick test_usage_is_weighted_average;
     Alcotest.test_case "past penalization decays" `Quick test_penalization_decays;
     Alcotest.test_case "contribution shares" `Quick test_contribution_shares;
-    Alcotest.test_case "active sites and forget" `Quick test_active_sites_and_forget;
+    Alcotest.test_case "active sites are sorted" `Quick test_active_sites_sorted;
     Alcotest.test_case "CONTROL: idle when uncongested" `Quick test_control_idle_when_clear;
     Alcotest.test_case "CONTROL: proportional throttling" `Quick
       test_control_throttles_proportionally;
@@ -707,12 +755,16 @@ let suite =
       test_control_no_ghost_kill;
     Alcotest.test_case "CONTROL: resources are independent" `Quick
       test_control_per_resource_isolation;
+    Alcotest.test_case "CONTROL: memory congestion is a windowed rate" `Quick
+      test_control_memory_window;
+    Alcotest.test_case "CONTROL: start arms the two-phase cycle" `Quick
+      test_control_cycle_schedule;
     Alcotest.test_case "CONTROL: unthrottle emits structured events" `Quick
       test_control_unthrottle_event;
     Alcotest.test_case "CONTROL: idle cycle emits no unthrottle events" `Quick
       test_control_no_unthrottle_event_when_idle;
-    Alcotest.test_case "close_interval with zero active sites" `Quick
-      test_close_interval_zero_sites;
+    Alcotest.test_case "close_resource_interval with zero active sites" `Quick
+      test_close_resource_interval_zero_sites;
     Alcotest.test_case "contribution with zero total usage" `Quick
       test_contribution_with_zero_total;
     Alcotest.test_case "ADMISSION: idle node admits" `Quick test_admission_admits_when_idle;
