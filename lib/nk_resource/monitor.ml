@@ -101,7 +101,11 @@ let severity t =
     overshoot ~rate:(window_rate t t.mem_window)
       ~limit:(t.memory_congestion_bytes /. t.control_interval)
   in
-  Float.min 0.95 (Float.max cpu_sev mem_sev)
+  let bw_sev =
+    overshoot ~rate:(window_rate t t.bw_window)
+      ~limit:(t.bandwidth_congestion_bytes /. t.control_interval)
+  in
+  Float.min 0.95 (Float.max cpu_sev (Float.max mem_sev bw_sev))
 
 let throttle t ~site ~fraction resource =
   let table = resource_throttles t resource in

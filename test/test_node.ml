@@ -203,6 +203,31 @@ let test_memory_bomb_terminated_with_controls () =
      | Some m -> Core.Resource.Monitor.terminations m > 0
      | None -> false)
 
+let test_bandwidth_congestion_throttles () =
+  (* Fig. 6 throttles before it terminates, whichever resource is
+     congested: a site serving large bodies through a node whose only
+     tight threshold is bandwidth must see throttled requests, not just
+     the 3x termination. *)
+  let config =
+    { Config.default with
+      Config.bandwidth_congestion_bytes = 64.0 *. 1024.0;
+      cpu_congestion_backlog = 100.0 }
+  in
+  let cluster = Cluster.create () in
+  let origin = Cluster.add_origin cluster ~name:"big.example.org" () in
+  Origin.set_static origin ~path:"/large.bin" ~max_age:300 (String.make (256 * 1024) 'x');
+  let proxy = Cluster.add_proxy cluster ~name:"nk1.nakika.net" ~config () in
+  let client = Cluster.add_client cluster ~name:"c1" in
+  let sim = Cluster.sim cluster in
+  Core.Workload.Driver.closed_loop cluster ~client ~proxy
+    ~until:(Core.Sim.Sim.now sim +. 8.0)
+    ~make_request:(fun _ -> Message.request "http://big.example.org/large.bin")
+    ~on_response:(fun _ _ _ _ -> ())
+    ();
+  Cluster.run cluster;
+  let counter = Core.Telemetry.Metrics.counter (Node.metrics proxy) in
+  Alcotest.(check bool) "bandwidth throttled" true (counter "rejected-throttle" > 0)
+
 let test_no_termination_without_controls () =
   let config = { Config.default with Config.enable_resource_controls = false } in
   let cluster = Cluster.create () in
@@ -973,6 +998,8 @@ let suite =
       test_plain_proxy_config_runs_no_scripts;
     Alcotest.test_case "memory bomb terminated under controls" `Quick
       test_memory_bomb_terminated_with_controls;
+    Alcotest.test_case "bandwidth congestion alone throttles" `Quick
+      test_bandwidth_congestion_throttles;
     Alcotest.test_case "no termination without controls" `Quick
       test_no_termination_without_controls;
     Alcotest.test_case "quarantined sites recover, repeat offenders escalate" `Quick

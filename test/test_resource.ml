@@ -191,6 +191,17 @@ let test_control_memory_window () =
   Alcotest.(check bool) "unthrottled" true
     (Monitor.finish_control h.monitor Resource.Memory = `Unthrottled)
 
+let test_control_bandwidth_severity () =
+  (* Bandwidth overshoot alone sets the severity: with CPU and memory
+     idle, 400 bytes/s against 100 throttles the only site at
+     1 - 100/400. *)
+  let h = make_harness () in
+  Accounting.charge h.accounting ~site:"big" Resource.Bandwidth 400.0;
+  Monitor.observe h.monitor Resource.Bandwidth 400.0;
+  h.clock := 1.0;
+  ignore (Monitor.begin_control h.monitor Resource.Bandwidth);
+  Alcotest.(check (float 1e-9)) "throttled by bandwidth overshoot" 0.75 (fraction h "big")
+
 let test_control_cycle_schedule () =
   (* [start] arms one timer; the begin phase then arms the timeout, the
      finish phase the rest of the interval, and each phase resets the
@@ -757,6 +768,8 @@ let suite =
       test_control_per_resource_isolation;
     Alcotest.test_case "CONTROL: memory congestion is a windowed rate" `Quick
       test_control_memory_window;
+    Alcotest.test_case "CONTROL: bandwidth overshoot sets severity" `Quick
+      test_control_bandwidth_severity;
     Alcotest.test_case "CONTROL: start arms the two-phase cycle" `Quick
       test_control_cycle_schedule;
     Alcotest.test_case "CONTROL: unthrottle emits structured events" `Quick
