@@ -331,6 +331,13 @@ let knobs =
       (fun c -> c.control_interval) (fun c v -> { c with control_interval = v });
     knob Duration Non_negative "control_timeout"
       (fun c -> c.control_timeout) (fun c v -> { c with control_timeout = v });
+    knob Duration Positive "cpu_congestion_backlog"
+      (fun c -> c.cpu_congestion_backlog) (fun c v -> { c with cpu_congestion_backlog = v });
+    knob Bytes Positive "memory_congestion_bytes"
+      (fun c -> c.memory_congestion_bytes) (fun c v -> { c with memory_congestion_bytes = v });
+    knob Bytes Positive "bandwidth_congestion_bytes"
+      (fun c -> c.bandwidth_congestion_bytes)
+      (fun c v -> { c with bandwidth_congestion_bytes = v });
     knob Duration Positive "script_ttl"
       (fun c -> c.script_ttl) (fun c v -> { c with script_ttl = v });
     knob Duration Non_negative "negative_ttl"

@@ -727,7 +727,18 @@ let test_config_rejects_negative_timeouts () =
     "peer_timeout";
   expect_rejected "negative quarantine decay"
     { Config.default with Config.quarantine_decay = -1.0 }
-    "quarantine_decay"
+    "quarantine_decay";
+  (* A zero byte threshold makes [rate >= 0] congested on every
+     interval, so an idle node would terminate its top site each cycle. *)
+  expect_rejected "zero cpu congestion backlog"
+    { Config.default with Config.cpu_congestion_backlog = 0.0 }
+    "cpu_congestion_backlog";
+  expect_rejected "zero memory congestion threshold"
+    { Config.default with Config.memory_congestion_bytes = 0.0 }
+    "memory_congestion_bytes";
+  expect_rejected "negative bandwidth congestion threshold"
+    { Config.default with Config.bandwidth_congestion_bytes = -1.0 }
+    "bandwidth_congestion_bytes"
 
 let test_config_rejects_penalty_above_quarantine_max () =
   expect_rejected "penalty above cap"
