@@ -21,7 +21,13 @@ let attach_node node =
   | Some e when not (List.memq node e.nodes) -> e.nodes <- node :: e.nodes
   | _ -> ()
 
+(* Experiments in one process must not see each other's compiled
+   programs: the process-wide compile cache and program-registry
+   counters start empty, so every BENCH file is the same whether its
+   experiment ran alone or after others. *)
 let begin_experiment id =
+  Core.Script.Compile.cache_clear ();
+  Core.Script.Registry.reset_stats ();
   current_experiment :=
     Some { id; registry = Core.Telemetry.Metrics.create (); nodes = [] }
 
