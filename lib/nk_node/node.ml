@@ -44,8 +44,7 @@ type t = {
   replicas : (string, Nk_replication.Replication.node) Hashtbl.t; (* per site *)
   log_urls : (string, string) Hashtbl.t; (* site -> posting URL *)
   log_entries : (string, string list ref) Hashtbl.t;
-  trace : Nk_sim.Trace.t;
-  metrics : Nk_telemetry.Metrics.t; (* shared with [trace] (facade) *)
+  metrics : Nk_telemetry.Metrics.t;
   tracer : Nk_telemetry.Tracer.t;
   events : Nk_telemetry.Events.t;
   mutable active_span : Nk_telemetry.Tracer.span option;
@@ -67,8 +66,6 @@ let host t = t.host
 let name t = Nk_sim.Net.host_name t.host
 
 let config t = t.cfg
-
-let trace t = t.trace
 
 let metrics t = t.metrics
 
@@ -267,7 +264,7 @@ let stamp t deadline req =
    left to do with the request is to say so quickly. *)
 let deadline_expired_response t ~at =
   Nk_telemetry.Metrics.incr t.metrics ~labels:[ ("at", at) ] "deadline.expired";
-  Nk_sim.Trace.incr t.trace "deadline-expired";
+  Nk_telemetry.Metrics.incr t.metrics "deadline-expired";
   Nk_resource.Deadline.expired_response ~reason:("deadline-" ^ at) ()
 
 (* --- the content handler: cache + DHT + origin --------------------- *)
@@ -442,7 +439,7 @@ let origin_tier t ?span ?deadline key req =
               ~timeout:(hop_timeout t deadline t.cfg.Config.origin_timeout)
               req
           in
-          Nk_sim.Trace.incr t.trace "origin-fetches";
+          Nk_telemetry.Metrics.incr t.metrics "origin-fetches";
           set_attr sp "status"
             (match resp with
              | Some r -> string_of_int r.Nk_http.Message.status
@@ -471,7 +468,7 @@ let origin_tier t ?span ?deadline key req =
         let resp, short_circuit =
           match Nk_resource.Breaker.acquire breaker with
           | `Reject retry ->
-            Nk_sim.Trace.incr t.trace "breaker-short-circuits";
+            Nk_telemetry.Metrics.incr t.metrics "breaker-short-circuits";
             set_attr osp "breaker" "open";
             (None, Some retry)
           | `Proceed ->
@@ -500,7 +497,7 @@ let origin_tier t ?span ?deadline key req =
         | Some resp when resp.Nk_http.Message.status < 500 -> (
           match (resp.Nk_http.Message.status, validator) with
           | 304, Some old ->
-            Nk_sim.Trace.incr t.trace "revalidations";
+            Nk_telemetry.Metrics.incr t.metrics "revalidations";
             (match Nk_http.Message.response_expiry ~now:(now t) resp with
              | Some expiry -> Nk_cache.Http_cache.refresh t.cache ~key ~expiry
              | None -> Nk_cache.Http_cache.remove t.cache ~key);
@@ -526,7 +523,7 @@ let origin_tier t ?span ?deadline key req =
             Nk_http.Message.set_resp_header old "X-NaKika-Stale"
               (string_of_int (int_of_float age));
             Nk_telemetry.Metrics.incr t.metrics "cache.stale_served";
-            Nk_sim.Trace.incr t.trace "stale-served";
+            Nk_telemetry.Metrics.incr t.metrics "stale-served";
             set_attr osp "stale" "true";
             old
           | _ -> (
@@ -552,11 +549,11 @@ let verify_peer t ?span ~peer resp =
           set_attr vsp "result" "ok";
           true
         | Error Nk_integrity.Integrity.Missing_headers ->
-          Nk_sim.Trace.incr t.trace "integrity-unverified";
+          Nk_telemetry.Metrics.incr t.metrics "integrity-unverified";
           set_attr vsp "result" "unverified";
           true
         | Error violation ->
-          Nk_sim.Trace.incr t.trace "integrity-violations";
+          Nk_telemetry.Metrics.incr t.metrics "integrity-violations";
           set_attr vsp "result" "violation";
           Logs.warn (fun m ->
               m "[%s] integrity violation from %s: %s" (name t) peer
@@ -636,7 +633,7 @@ let peer_tier t dht ?span ?deadline key req ~from_origin =
         (* A peer behind an open breaker is skipped outright — and
            without consuming the budget, so one dead peer doesn't halve
            our cooperative-cache reach. *)
-        Nk_sim.Trace.incr t.trace "breaker-short-circuits";
+        Nk_telemetry.Metrics.incr t.metrics "breaker-short-circuits";
         try_peers budget rest
       | `Proceed -> (
         match Nk_sim.Httpd.resolve t.web peer with
@@ -645,7 +642,7 @@ let peer_tier t dht ?span ?deadline key req ~from_origin =
           Nk_resource.Breaker.failure peer_breaker;
           from_origin ()
         | Some peer_host -> (
-          Nk_sim.Trace.incr t.trace "dht-hits";
+          Nk_telemetry.Metrics.incr t.metrics "dht-hits";
           let resp, served_by =
             fetch_from_peer t dht ?span ?deadline ~key ~peer ~peer_host ~rest req
           in
@@ -655,7 +652,7 @@ let peer_tier t dht ?span ?deadline key req ~from_origin =
             (Option.is_some resp);
           match (resp, t.retry_budget, rest) with
           | Some resp, _, _ ->
-            Nk_sim.Trace.incr t.trace "peer-fetches";
+            Nk_telemetry.Metrics.incr t.metrics "peer-fetches";
             insert_if_cacheable t req resp;
             resp
           (* Trying the next candidate is a retry of the upstream class:
@@ -717,7 +714,7 @@ let emission_check t (req : Nk_http.Message.request) ~load_wall =
           Nk_pipeline.Pipeline.run_handler stage ~this_request:req ~response:None handler
         with
         | Ok (Some denial) ->
-          Nk_sim.Trace.incr t.trace "emission-denials";
+          Nk_telemetry.Metrics.incr t.metrics "emission-denials";
           Some denial
         | Ok None -> None
         | Error _ -> Some (Nk_http.Message.error_response 500))))
@@ -912,7 +909,7 @@ let rec install_stage t ?span ?resp ?(cpu = 0.0) ~url ~site code =
     Nk_cache.Memo_cache.put t.stage_cache ~key:url ~expiry { stage; site; hash };
     Ok stage
   | Error msg as e ->
-    Nk_sim.Trace.incr t.trace "script-errors";
+    Nk_telemetry.Metrics.incr t.metrics "script-errors";
     Logs.warn (fun m -> m "[%s] stage %s failed: %s" (name t) url msg);
     Nk_cache.Memo_cache.put t.negative ~key:url
       ~expiry:(now t +. t.cfg.Config.negative_ttl) ();
@@ -1027,10 +1024,10 @@ let process t ?span ?deadline (req : Nk_http.Message.request) =
       set_attr span "source"
         (match outcome.Nk_pipeline.Pipeline.source with
          | Nk_pipeline.Pipeline.From_failure Nk_pipeline.Pipeline.Killed ->
-           Nk_sim.Trace.incr t.trace "dropped-termination";
+           Nk_telemetry.Metrics.incr t.metrics "dropped-termination";
            "killed"
          | Nk_pipeline.Pipeline.From_failure _ ->
-           Nk_sim.Trace.incr t.trace "script-errors";
+           Nk_telemetry.Metrics.incr t.metrics "script-errors";
            "failure"
          | Nk_pipeline.Pipeline.From_script stage_url -> "script:" ^ stage_url
          | Nk_pipeline.Pipeline.From_origin -> "origin");
@@ -1070,7 +1067,7 @@ let process t ?span ?deadline (req : Nk_http.Message.request) =
     ~cpu:(costs.Config.proxy_base +. concurrency +. handler_cpu +. crossing_cpu)
     ~heap:(float_of_int heap) ~bytes ~elapsed;
   access_log t ~site ~req ~resp:response;
-  Nk_sim.Trace.add t.trace "latency" elapsed;
+  Nk_telemetry.Metrics.observe t.metrics "latency" elapsed;
   let labels = [ ("site", site) ] in
   Nk_telemetry.Metrics.incr t.metrics ~labels "site.requests";
   Nk_telemetry.Metrics.observe t.metrics ~labels "site.latency" elapsed;
@@ -1116,7 +1113,7 @@ let serve t span_name ?(attrs = []) ?(release = ignore) ?(edit = ignore)
     (fun () -> work span)
     ~on_done:(fun ((resp, _, _) as result) ->
       release ();
-      Nk_sim.Trace.incr t.trace "responses";
+      Nk_telemetry.Metrics.incr t.metrics "responses";
       edit resp;
       finish_span t span ~attrs:[ ("status", string_of_int resp.Nk_http.Message.status) ];
       reply result)
@@ -1126,7 +1123,7 @@ let serve t span_name ?(attrs = []) ?(release = ignore) ?(edit = ignore)
         match errors with
         | None -> "true"
         | Some what ->
-          Nk_sim.Trace.incr t.trace "script-errors";
+          Nk_telemetry.Metrics.incr t.metrics "script-errors";
           Logs.warn (fun m -> m "[%s] %s: %s" (name t) what (Printexc.to_string exn));
           Printexc.to_string exn
       in
@@ -1147,7 +1144,7 @@ let answer_early t req k ~outcome resp =
    answer)] refuses the request without taking a queue slot. *)
 let gate t ~site deadline =
   if Nk_resource.Quarantine.is_banned t.quarantine ~site then begin
-    Nk_sim.Trace.incr t.trace "dropped-termination";
+    Nk_telemetry.Metrics.incr t.metrics "dropped-termination";
     Some
       ("banned-site", retry_after_response (Nk_resource.Quarantine.remaining t.quarantine ~site))
   end
@@ -1161,7 +1158,7 @@ let gate t ~site deadline =
     in
     fraction > 0.0 && Nk_util.Prng.float t.rng 1.0 < fraction
   then begin
-    Nk_sim.Trace.incr t.trace "rejected-throttle";
+    Nk_telemetry.Metrics.incr t.metrics "rejected-throttle";
     Some ("rejected-throttle", Nk_http.Message.error_response 503)
   end
   else if expired t deadline then
@@ -1175,7 +1172,7 @@ let slice_range t req =
   let range = Option.bind (Nk_http.Message.req_header req "Range") Nk_http.Range.parse in
   fun resp ->
     Option.iter
-      (fun r -> if Nk_http.Range.apply r resp then Nk_sim.Trace.incr t.trace "range-responses")
+      (fun r -> if Nk_http.Range.apply r resp then Nk_telemetry.Metrics.incr t.metrics "range-responses")
       range
 
 (* The §6 threat: a node that arbitrarily modifies cached content
@@ -1245,7 +1242,7 @@ let attempt_offload t ~site ~plan:(d, p, script_hash, target) ?deadline req k ~f
   let breaker = breaker_for t ("offload:" ^ target_name) in
   match Nk_resource.Breaker.acquire breaker with
   | `Reject _ ->
-    Nk_sim.Trace.incr t.trace "breaker-short-circuits";
+    Nk_telemetry.Metrics.incr t.metrics "breaker-short-circuits";
     fall_back "breaker-open"
   | `Proceed ->
     let span = start_request_span t "request" req in
@@ -1280,7 +1277,7 @@ let attempt_offload t ~site ~plan:(d, p, script_hash, target) ?deadline req k ~f
           Nk_telemetry.Metrics.incr t.metrics
             ~labels:[ ("target", target_name) ]
             "diffusion.offloads";
-          Nk_sim.Trace.incr t.trace "responses";
+          Nk_telemetry.Metrics.incr t.metrics "responses";
           slice response;
           finish_span t ospan ~attrs:[ ("outcome", "executed") ];
           finish_span t span
@@ -1389,13 +1386,13 @@ let handle_offload_request t d ~payload =
    front-door gates, may diffuse to a less pressured neighbor, and is
    otherwise admitted and served here. *)
 let handle t (req : Nk_http.Message.request) k =
-  Nk_sim.Trace.incr t.trace "requests";
+  Nk_telemetry.Metrics.incr t.metrics "requests";
   let reply (resp, _, _) = k resp in
   let fail () = k (Nk_http.Message.error_response 500) in
   if Nk_http.Message.req_header req peer_header <> None then
     match receiver_deadline t req with
     | Error spent ->
-      Nk_sim.Trace.incr t.trace "responses";
+      Nk_telemetry.Metrics.incr t.metrics "responses";
       k (deadline_expired_response t ~at:(if spent then "peer" else "peer-queue"))
     | Ok deadline ->
       serve t "peer-request" req ~edit:(falsify t) ~errors:None
@@ -1417,7 +1414,7 @@ let handle t (req : Nk_http.Message.request) k =
     let local () =
       match admit t ~site with
       | Error (retry_after, reason) ->
-        Nk_sim.Trace.incr t.trace "admission-sheds";
+        Nk_telemetry.Metrics.incr t.metrics "admission-sheds";
         answer_early t req k ~outcome:("admission-" ^ reason) (retry_after_response retry_after)
       | Ok release ->
         serve t "request" req ~release ~edit:(slice_range t req)
@@ -1494,7 +1491,7 @@ let start_log_poster t =
             entries := [];
             let req = Nk_http.Message.request ~meth:Nk_http.Method_.POST ~body url in
             Nk_sim.Httpd.fetch t.web ~from:t.host req (fun _ ->
-                Nk_sim.Trace.incr t.trace "log-posts")
+                Nk_telemetry.Metrics.incr t.metrics "log-posts")
           | _ -> ())
         t.log_urls)
 
@@ -1636,7 +1633,6 @@ let create ~web ~host ?dht ?bus ?(config = Config.default) () =
       replicas = Hashtbl.create 4;
       log_urls = Hashtbl.create 4;
       log_entries = Hashtbl.create 4;
-      trace = Nk_sim.Trace.create ~registry:metrics ();
       metrics;
       tracer = Nk_telemetry.Tracer.create ~capacity:config.Config.trace_capacity ~clock ();
       events;

@@ -29,17 +29,15 @@ val name : t -> string
 
 val config : t -> Config.t
 
-val trace : t -> Nk_sim.Trace.t
-(** Counters: ["requests"], ["responses"], ["rejected-throttle"],
-    ["dropped-termination"], ["script-errors"], ["origin-fetches"],
-    ["peer-fetches"], ["dht-hits"]; samples: ["latency"] (per-request
-    service time at this node). *)
-
 val metrics : t -> Nk_telemetry.Metrics.t
-(** The node's registry. Shared with {!trace} (the facade feeds it), the
-    proxy cache, and the resource monitor; per-site instruments carry a
-    [("site", _)] label ("site.requests", "site.latency", "script.fuel",
-    "script.heap", "monitor.throttles", "monitor.terminations"). *)
+(** The node's registry, shared with the proxy cache and the resource
+    monitor. Counters include ["requests"], ["responses"],
+    ["rejected-throttle"], ["dropped-termination"], ["script-errors"],
+    ["origin-fetches"], ["peer-fetches"] and ["dht-hits"]; the
+    ["latency"] histogram holds per-request service time at this node.
+    Per-site instruments carry a [("site", _)] label ("site.requests",
+    "site.latency", "script.fuel", "script.heap", "monitor.throttles",
+    "monitor.terminations"). *)
 
 val tracer : t -> Nk_telemetry.Tracer.t
 (** Per-request span trees (ring buffer of [Config.trace_capacity]

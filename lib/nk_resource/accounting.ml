@@ -51,16 +51,6 @@ let usage t ~site resource =
 
 let active_sites t = Hashtbl.fold (fun k _ acc -> k :: acc) t.sites [] |> List.sort compare
 
-let contribution t ~site resource =
-  let mine = usage t ~site resource in
-  if mine <= 0.0 then 0.0
-  else begin
-    let total =
-      List.fold_left (fun acc s -> acc +. usage t ~site:s resource) 0.0 (active_sites t)
-    in
-    if total <= 0.0 then 0.0 else mine /. total
-  end
-
 let fold_one t state resource r ~congested =
   let counts = (not (Resource.is_renewable resource)) || congested in
   if counts then ignore (Nk_util.Ewma.update (ewma t state resource) !r)
@@ -70,12 +60,6 @@ let fold_one t state resource r ~congested =
     ignore (Nk_util.Ewma.update (ewma t state resource) 0.0);
   r := 0.0
 
-let close_interval t ~congested =
-  Hashtbl.iter
-    (fun _site state ->
-      Hashtbl.iter (fun resource r -> fold_one t state resource r ~congested:(congested resource)) state.interval)
-    t.sites
-
 let close_resource_interval t resource ~congested =
   Hashtbl.iter
     (fun _site state ->
@@ -83,11 +67,3 @@ let close_resource_interval t resource ~congested =
       | Some r -> fold_one t state resource r ~congested
       | None -> ())
     t.sites
-
-let total_interval t resource =
-  Hashtbl.fold
-    (fun _ state acc ->
-      acc +. (match Hashtbl.find_opt state.interval resource with Some r -> !r | None -> 0.0))
-    t.sites 0.0
-
-let forget t ~site = Hashtbl.remove t.sites site

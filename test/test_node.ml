@@ -89,7 +89,7 @@ let test_dht_cooperative_caching () =
   Alcotest.(check string) "content served" "<html>hello</html>" (body resp);
   Alcotest.(check int) "origin fetches unchanged" origin_before (Origin.request_count origin);
   Alcotest.(check bool) "peer fetch recorded" true
-    (Core.Sim.Trace.count (Node.trace b) "peer-fetches" > 0)
+    (Core.Telemetry.Metrics.counter (Node.metrics b) "peer-fetches" > 0)
 
 let test_dht_disabled_goes_to_origin () =
   let config = { Config.default with Config.enable_dht = false } in
@@ -350,8 +350,8 @@ let test_redirector_integration () =
   let resp = fetch_sync cluster ~client (Message.request "http://www.example.edu/index.html") in
   Alcotest.(check int) "served" 200 resp.Message.status;
   Alcotest.(check bool) "near proxy took the request" true
-    (Core.Sim.Trace.count (Node.trace near) "requests" > 0);
-  Alcotest.(check int) "far proxy idle" 0 (Core.Sim.Trace.count (Node.trace far) "requests")
+    (Core.Telemetry.Metrics.counter (Node.metrics near) "requests" > 0);
+  Alcotest.(check int) "far proxy idle" 0 (Core.Telemetry.Metrics.counter (Node.metrics far) "requests")
 
 
 let test_revalidation_304 () =
@@ -371,7 +371,7 @@ let test_revalidation_304 () =
   let resp = fetch_sync cluster ~client ~proxy (req ()) in
   Alcotest.(check string) "content served from revived entry" "stable content" (body resp);
   Alcotest.(check bool) "revalidation recorded" true
-    (Core.Sim.Trace.count (Node.trace proxy) "revalidations" > 0);
+    (Core.Telemetry.Metrics.counter (Node.metrics proxy) "revalidations" > 0);
   (* The 304 carried no body: almost no new bytes from the origin. *)
   Alcotest.(check bool) "no full body transfer" true
     (Origin.bytes_served origin - bytes_before < String.length "stable content");
@@ -396,7 +396,7 @@ let test_revalidation_changed_content () =
   let resp = fetch_sync cluster ~client ~proxy (req ()) in
   Alcotest.(check string) "new content" "version 2" (body resp);
   Alcotest.(check int) "no 304 this time" 0
-    (Core.Sim.Trace.count (Node.trace proxy) "revalidations")
+    (Core.Telemetry.Metrics.counter (Node.metrics proxy) "revalidations")
 
 
 let test_integrity_catches_misbehaving_peer () =
@@ -423,7 +423,7 @@ let test_integrity_catches_misbehaving_peer () =
   Alcotest.(check string) "authoritative content served" "<html>study content</html>"
     (body resp);
   Alcotest.(check bool) "violation detected" true
-    (Core.Sim.Trace.count (Node.trace good) "integrity-violations" > 0)
+    (Core.Telemetry.Metrics.counter (Node.metrics good) "integrity-violations" > 0)
 
 let test_integrity_accepts_honest_peer () =
   let key = "publisher-key" in
@@ -444,7 +444,7 @@ let test_integrity_accepts_honest_peer () =
   Alcotest.(check int) "peer copy accepted, origin idle" origin_before
     (Origin.request_count origin);
   Alcotest.(check int) "no violations" 0
-    (Core.Sim.Trace.count (Node.trace b) "integrity-violations")
+    (Core.Telemetry.Metrics.counter (Node.metrics b) "integrity-violations")
 
 
 let test_emission_control_on_script_fetches () =
@@ -478,7 +478,7 @@ p.register();
     (body resp);
   Alcotest.(check int) "blocked origin untouched" 0 (Origin.request_count blocked);
   Alcotest.(check bool) "denial recorded" true
-    (Core.Sim.Trace.count (Node.trace proxy) "emission-denials" > 0)
+    (Core.Telemetry.Metrics.counter (Node.metrics proxy) "emission-denials" > 0)
 
 
 let test_dht_reannouncement_outlives_ttl () =
@@ -501,7 +501,7 @@ let test_dht_reannouncement_outlives_ttl () =
   let origin_before = Origin.request_count origin in
   ignore (fetch_sync cluster ~client ~proxy:b (req ()));
   Alcotest.(check bool) "peer copy still found" true
-    (Core.Sim.Trace.count (Node.trace b) "peer-fetches" > 0);
+    (Core.Telemetry.Metrics.counter (Node.metrics b) "peer-fetches" > 0);
   Alcotest.(check int) "origin idle" origin_before (Origin.request_count origin)
 
 
@@ -602,7 +602,7 @@ let test_simulation_is_deterministic () =
       ();
     Cluster.run cluster;
     ( !latencies,
-      Core.Sim.Trace.count (Node.trace proxy) "requests",
+      Core.Telemetry.Metrics.counter (Node.metrics proxy) "requests",
       Origin.request_count origin )
   in
   let a = run () and b = run () in

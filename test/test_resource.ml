@@ -172,35 +172,28 @@ let test_control_per_resource_isolation () =
   Alcotest.(check (float 1e-9)) "memory not counted" 0.0
     (Accounting.usage h.accounting ~site:"s" Resource.Memory)
 
-let test_control_memory_window () =
-  (* Memory congestion is a rate over the window: 200 bytes observed in
-     1 s against a 100 bytes/s threshold is congested, at severity
-     1 - 100/200. *)
-  let h = make_harness () in
-  Accounting.charge h.accounting ~site:"bomb" Resource.Memory 200.0;
-  Monitor.observe h.monitor Resource.Memory 200.0;
-  Alcotest.(check bool) "no rate before time passes" true
-    (Monitor.begin_control h.monitor Resource.Memory = `Clear);
-  Accounting.charge h.accounting ~site:"bomb" Resource.Memory 200.0;
-  h.clock := 1.0;
-  (match Monitor.begin_control h.monitor Resource.Memory with
-   | `Congested [ ("bomb", share) ] -> Alcotest.(check (float 1e-9)) "whole share" 1.0 share
-   | _ -> Alcotest.fail "expected memory congestion");
-  Alcotest.(check (float 1e-9)) "throttled by severity" 0.5 (fraction h "bomb");
-  (* 200 bytes/s is under the final 3x bar: restore, don't kill. *)
-  Alcotest.(check bool) "unthrottled" true
-    (Monitor.finish_control h.monitor Resource.Memory = `Unthrottled)
-
-let test_control_bandwidth_severity () =
-  (* Bandwidth overshoot alone sets the severity: with CPU and memory
-     idle, 400 bytes/s against 100 throttles the only site at
-     1 - 100/400. *)
-  let h = make_harness () in
-  Accounting.charge h.accounting ~site:"big" Resource.Bandwidth 400.0;
-  Monitor.observe h.monitor Resource.Bandwidth 400.0;
-  h.clock := 1.0;
-  ignore (Monitor.begin_control h.monitor Resource.Bandwidth);
-  Alcotest.(check (float 1e-9)) "throttled by bandwidth overshoot" 0.75 (fraction h "big")
+let test_control_windowed_rate () =
+  (* Memory and bandwidth congestion are rates over the window: 200
+     bytes observed in 1 s against a 100 bytes/s threshold is congested,
+     and that overshoot alone sets the severity, 1 - 100/200. *)
+  List.iter
+    (fun resource ->
+      let name = Resource.to_string resource in
+      let h = make_harness () in
+      Accounting.charge h.accounting ~site:"big" resource 200.0;
+      Monitor.observe h.monitor resource 200.0;
+      Alcotest.(check bool) (name ^ ": no rate before time passes") true
+        (Monitor.begin_control h.monitor resource = `Clear);
+      Accounting.charge h.accounting ~site:"big" resource 200.0;
+      h.clock := 1.0;
+      (match Monitor.begin_control h.monitor resource with
+       | `Congested [ ("big", share) ] -> Alcotest.(check (float 1e-9)) (name ^ ": share") 1.0 share
+       | _ -> Alcotest.fail (name ^ ": expected congestion"));
+      Alcotest.(check (float 1e-9)) (name ^ ": throttled by severity") 0.5 (fraction h "big");
+      (* 200 bytes/s is under the final 3x bar: restore, don't kill. *)
+      Alcotest.(check bool) (name ^ ": unthrottled") true
+        (Monitor.finish_control h.monitor resource = `Unthrottled))
+    [ Resource.Memory; Resource.Bandwidth ]
 
 let test_control_cycle_schedule () =
   (* [start] arms one timer; the begin phase then arms the timeout, the
@@ -766,10 +759,8 @@ let suite =
       test_control_no_ghost_kill;
     Alcotest.test_case "CONTROL: resources are independent" `Quick
       test_control_per_resource_isolation;
-    Alcotest.test_case "CONTROL: memory congestion is a windowed rate" `Quick
-      test_control_memory_window;
-    Alcotest.test_case "CONTROL: bandwidth overshoot sets severity" `Quick
-      test_control_bandwidth_severity;
+    Alcotest.test_case "CONTROL: windowed memory and bandwidth rates" `Quick
+      test_control_windowed_rate;
     Alcotest.test_case "CONTROL: start arms the two-phase cycle" `Quick
       test_control_cycle_schedule;
     Alcotest.test_case "CONTROL: unthrottle emits structured events" `Quick

@@ -212,17 +212,6 @@ let test_httpd_response_isolation () =
   Message.set_body (Option.get !r1) "mutated";
   Alcotest.(check string) "original untouched" "shared" (Body.to_string shared.Message.resp_body)
 
-let test_trace () =
-  let tr = Trace.create () in
-  Trace.incr tr "hits";
-  Trace.incr ~by:4 tr "hits";
-  Trace.add tr "latency" 0.25;
-  Trace.add tr "latency" 0.75;
-  Alcotest.(check int) "counter" 5 (Trace.count tr "hits");
-  Alcotest.(check int) "missing counter" 0 (Trace.count tr "nope");
-  Alcotest.(check (float 1e-9)) "stat mean" 0.5 (Core.Util.Stats.mean (Trace.stats tr "latency"));
-  Alcotest.(check (list string)) "names" [ "latency" ] (Trace.stat_names tr)
-
 let suite =
   [
     Alcotest.test_case "clock advances through events" `Quick test_clock_advances;
@@ -244,5 +233,4 @@ let suite =
     Alcotest.test_case "httpd: unknown host yields 502" `Quick test_httpd_unknown_host;
     Alcotest.test_case "httpd: fetch_via overrides resolution" `Quick test_httpd_fetch_via;
     Alcotest.test_case "httpd: responses are copied" `Quick test_httpd_response_isolation;
-    Alcotest.test_case "trace: counters and samples" `Quick test_trace;
   ]
