@@ -1009,8 +1009,6 @@ let suite =
       test_plain_proxy_config_runs_no_scripts;
     Alcotest.test_case "memory bomb terminated under controls" `Quick
       test_memory_bomb_terminated_with_controls;
-    Alcotest.test_case "bandwidth congestion alone throttles" `Quick
-      test_bandwidth_congestion_throttles;
     Alcotest.test_case "no termination without controls" `Quick
       test_no_termination_without_controls;
     Alcotest.test_case "quarantined sites recover, repeat offenders escalate" `Quick
@@ -1066,4 +1064,6 @@ let suite =
       test_dht_sweeper_expires_idle_placements;
     Alcotest.test_case "config validation: tail-tolerance knobs" `Quick
       test_config_rejects_bad_tail_knobs;
+    Alcotest.test_case "bandwidth congestion alone throttles" `Quick
+      test_bandwidth_congestion_throttles;
   ]
