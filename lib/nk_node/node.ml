@@ -802,11 +802,7 @@ let site_of_stage_url url =
    ([site "..." { fuel <= N; heap <= N }]): the effective limit is the
    global cap tightened by the first matching site rule. *)
 let site_limit overrides ~site ~global =
-  match
-    List.find_map
-      (fun (pattern, v) -> if Nk_resource.Shares.matches ~pattern site then Some v else None)
-      overrides
-  with
+  match Nk_resource.Shares.first_match overrides ~site with
   | Some v -> min global v
   | None -> global
 

@@ -33,11 +33,7 @@ let create ?(base = 30.0) ?(max_window = 240.0) ?(decay = 60.0) ?(site_params = 
   }
 
 let params t ~site =
-  match
-    List.find_map
-      (fun (pattern, p) -> if Shares.matches ~pattern site then Some p else None)
-      t.site_params
-  with
+  match Shares.first_match t.site_params ~site with
   | Some p -> p
   | None -> (t.base, t.max_window)
 

@@ -17,8 +17,12 @@ let matches ~pattern site =
      String.sub site (String.length site - String.length suffix) (String.length suffix)
      = suffix
 
-let fraction t ~site =
-  List.find_map (fun (pattern, f) -> if matches ~pattern site then Some f else None) t
+let rec first_match table ~site =
+  match table with
+  | [] -> None
+  | (pattern, v) :: rest -> if matches ~pattern site then Some v else first_match rest ~site
+
+let fraction t ~site = first_match t ~site
 
 let slots ~capacity fraction = int_of_float ((fraction *. float_of_int capacity) +. 0.5)
 

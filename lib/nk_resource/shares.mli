@@ -29,6 +29,12 @@ val matches : pattern:string -> string -> bool
     ["*.suffix"] suffix match (the site ["suffix"] itself is not
     covered by ["*.suffix"], only hosts under it). *)
 
+val first_match : (string * 'a) list -> site:string -> 'a option
+(** The value of the first [(pattern, value)] entry whose pattern
+    covers [site], [None] when none does. Every per-site table a plan
+    lowers to — shares, quarantine windows, sandbox caps — resolves
+    through this one lookup. *)
+
 val fraction : t -> site:string -> float option
 (** The declared share for [site]: the first matching entry's
     fraction, [None] when no entry matches. *)
