@@ -13,7 +13,7 @@ module Metrics = Core.Telemetry.Metrics
 
 (* The simulator's default start time; fault plans use absolute times
    and are built before the cluster exists. *)
-let epoch = 1_136_073_600.0
+let epoch = Core.Sim.Sim.epoch
 
 let proxy_names =
   [ "nk-a.nakika.net"; "nk-b.nakika.net"; "nk-c.nakika.net"; "nk-d.nakika.net" ]

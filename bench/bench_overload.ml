@@ -19,7 +19,7 @@ module Plan = Core.Faults.Plan
 module Metrics = Core.Telemetry.Metrics
 module Sim = Core.Sim.Sim
 
-let epoch = 1_136_073_600.0
+let epoch = Sim.epoch
 
 let seed_base =
   match int_of_string_opt (try Sys.getenv "NAKIKA_CHAOS_SEED" with Not_found -> "0") with

@@ -25,7 +25,7 @@
 module Metrics = Core.Telemetry.Metrics
 module Sim = Core.Sim.Sim
 
-let epoch = 1_136_073_600.0
+let epoch = Sim.epoch
 
 let universe = 10_000
 let skew = 0.9

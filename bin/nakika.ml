@@ -247,7 +247,7 @@ let health_config () =
    steady crowd on an uncacheable live page keeps hitting the DHT so
    its key crosses the plan's hotspot threshold. *)
 let health_scenario () =
-  let epoch = 1_136_073_600.0 in
+  let epoch = Core.Sim.Sim.epoch in
   let plan = Core.Faults.Plan.create () in
   Core.Faults.Plan.fail_origin plan ~host:"dead.example.org" ~at:epoch
     ~until:(epoch +. 3600.0) ();
@@ -674,7 +674,7 @@ let chaos_cmd =
       & info [ "seed" ] ~docv:"N"
           ~doc:"Seed for the fault schedule; the same seed reproduces the same run.")
   in
-  let epoch = 1_136_073_600.0 in
+  let epoch = Core.Sim.Sim.epoch in
   let proxy_names =
     [ "nk-a.nakika.net"; "nk-b.nakika.net"; "nk-c.nakika.net"; "nk-d.nakika.net" ]
   in

@@ -8,7 +8,10 @@ type t = {
   mutable executed : int; (* events run so far; scale soaks assert on it *)
 }
 
-let create ?(seed = 1) ?(start_time = 1_136_073_600.0) () =
+(* January 2006, the paper's era, so HTTP dates look plausible. *)
+let epoch = 1_136_073_600.0
+
+let create ?(seed = 1) ?(start_time = epoch) () =
   { clock = start_time; queue = Nk_util.Heap.create (); rng = Nk_util.Prng.create seed;
     live = 0; executed = 0 }
 

@@ -7,10 +7,15 @@
 
 type t
 
+val epoch : float
+(** The simulator's default start time in epoch seconds: 1,136,073,600,
+    January 2006 — the paper's era — so HTTP dates look plausible.
+    Fault plans and open-loop workloads use absolute times and are
+    built before the simulator exists, so they count from here. *)
+
 val create : ?seed:int -> ?start_time:float -> unit -> t
 (** [start_time] is the initial clock value in epoch seconds (defaults
-    to 1,136,073,600 — January 2006, the paper's era — so HTTP dates
-    look plausible). *)
+    to [epoch]). *)
 
 val now : t -> float
 

@@ -8,7 +8,7 @@
 open Core.Node
 open Core.Http
 
-let epoch = 1_136_073_600.0
+let epoch = Core.Sim.Sim.epoch
 
 let signed_key = "publisher-key"
 

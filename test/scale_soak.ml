@@ -16,7 +16,7 @@
 module Metrics = Core.Telemetry.Metrics
 module Sim = Core.Sim.Sim
 
-let epoch = 1_136_073_600.0
+let epoch = Sim.epoch
 
 let nodes =
   match Option.bind (Sys.getenv_opt "NAKIKA_SOAK_NODES") int_of_string_opt with

@@ -185,7 +185,7 @@ let test_fallback_on_breaker_open () =
      first offload attempts time out (breaker failures), the breaker
      trips, and later requests fall back immediately — every request
      still gets its response locally. *)
-  let epoch = 1_136_073_600.0 in
+  let epoch = Core.Sim.Sim.epoch in
   let plan = Core.Faults.Plan.create () in
   Core.Faults.Plan.crash plan ~host:"nk2.nakika.net" ~at:epoch ();
   let cluster = Cluster.create ~faults:plan () in
@@ -264,7 +264,7 @@ let test_chaos_crash_during_offload () =
      envelope to the *restarted* nk2, whose incarnation no longer
      matches — it must refuse to execute work addressed to its dead
      self. *)
-  let epoch = 1_136_073_600.0 in
+  let epoch = Core.Sim.Sim.epoch in
   let plan = Core.Faults.Plan.create () in
   Core.Faults.Plan.crash plan ~host:"nk2.nakika.net" ~at:(epoch +. 10.0)
     ~restart:(epoch +. 10.6) ();

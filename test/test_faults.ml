@@ -16,7 +16,7 @@ module Metrics = Core.Telemetry.Metrics
 
 (* The simulator's default start time (January 2006); fault plans use
    absolute times and are built before the cluster exists. *)
-let epoch = 1_136_073_600.0
+let epoch = Sim.epoch
 
 (* CI reruns the chaos soak under a few fixed seeds via this variable;
    locally it defaults to 0. *)

@@ -614,7 +614,7 @@ let test_simulation_is_deterministic () =
 
 (* The simulator's default start time; fault plans use absolute times
    and must be built before the cluster exists. *)
-let sim_epoch = 1_136_073_600.0
+let sim_epoch = Core.Sim.Sim.epoch
 
 (* A cluster whose one origin fails from [fail_at] on, with [cap] as
    the node's staleness budget. The page is cached with max_age 10. *)
@@ -767,7 +767,7 @@ let test_valid_config_still_accepted () =
 
 (* --- tail tolerance: deadlines, hedging, the client timeout ---------- *)
 
-let epoch = 1_136_073_600.0
+let epoch = Core.Sim.Sim.epoch
 
 let test_client_timeout_reason_headers () =
   (* A crashed proxy swallows the request; the cluster's client-side

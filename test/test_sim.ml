@@ -4,7 +4,7 @@
 open Core.Sim
 open Core.Http
 
-let start = 1_136_073_600.0
+let start = Sim.epoch
 
 let test_clock_advances () =
   let sim = Sim.create () in
