@@ -14,13 +14,7 @@
 
 module Metrics = Core.Telemetry.Metrics
 module Sim = Core.Sim.Sim
-
-let epoch = Sim.epoch
-
-let seed_base =
-  match int_of_string_opt (try Sys.getenv "NAKIKA_CHAOS_SEED" with Not_found -> "0") with
-  | Some n -> n * 1_000_003
-  | None -> 0
+module Open_loop = Core.Workload.Open_loop
 
 let hot_proxy = "nk-a.nakika.net"
 let neighbor_names = [ "nk-b.nakika.net"; "nk-c.nakika.net" ]
@@ -41,17 +35,13 @@ p.register();
 |}
 
 type outcome = {
-  issued : int;
-  ok : int;
-  rejected : int;
-  errors : int;
+  tally : Open_loop.t;
+  goodput : float;
   p99 : float;
   offload_spread : (string * int) list;  (** per-neighbor offload counts at nk-a *)
   rejects : int;
   fallbacks : int;
 }
-
-let goodput o = float_of_int o.ok /. float_of_int (max 1 o.issued)
 
 let run_scenario ~attach ~diffusion () =
   let config =
@@ -59,7 +49,7 @@ let run_scenario ~attach ~diffusion () =
       { Core.Node.Config.default with Core.Node.Config.enable_diffusion = true }
     else Core.Node.Config.default
   in
-  let cluster = Core.Node.Cluster.create ~seed:(seed_base + 5) () in
+  let cluster = Core.Node.Cluster.create ~seed:(Core.Workload.Chaos.seed_base () + 5) () in
   let origin = Core.Node.Cluster.add_origin cluster ~name:"www.example.edu" () in
   Core.Node.Origin.set_static origin ~path:"/hot.html" ~max_age:60
     "<html>flash crowd at the origin</html>";
@@ -70,59 +60,35 @@ let run_scenario ~attach ~diffusion () =
     List.map (fun name -> Core.Node.Cluster.add_proxy cluster ~name ~config ()) neighbor_names
   in
   let clients =
-    [
-      Core.Node.Cluster.add_client cluster ~name:"c1";
-      Core.Node.Cluster.add_client cluster ~name:"c2";
-      Core.Node.Cluster.add_client cluster ~name:"c3";
-    ]
+    Array.of_list
+      [
+        Core.Node.Cluster.add_client cluster ~name:"c1";
+        Core.Node.Cluster.add_client cluster ~name:"c2";
+        Core.Node.Cluster.add_client cluster ~name:"c3";
+      ]
   in
-  let sim = Core.Node.Cluster.sim cluster in
-  let client_arr = Array.of_list clients in
-  let issued = ref 0 and ok = ref 0 and rejected = ref 0 and errors = ref 0 in
-  let latencies = ref [] in
+  let tally = Open_loop.create () in
   (* 600 requests for the hot page inside ~1.2 s, every one pinned to
      nk-a (the client population that a stale DNS answer or a hardcoded
      proxy setting sends to one node), starting after the health plane
      has gossiped at least once. *)
   for i = 0 to 599 do
-    Sim.schedule_at sim
-      (epoch +. 5.0 +. (0.002 *. float_of_int i))
-      (fun () ->
-        incr issued;
-        let started = Sim.now sim in
-        Core.Node.Cluster.fetch cluster
-          ~client:client_arr.(!issued mod Array.length client_arr)
-          ~proxy:pa ~timeout:10.0
-          (Core.Http.Message.request "http://www.example.edu/hot.html")
-          (fun resp ->
-            match resp.Core.Http.Message.status with
-            | 200 ->
-              incr ok;
-              latencies := (Sim.now sim -. started) :: !latencies
-            | 503 -> incr rejected
-            | _ -> incr errors))
+    Open_loop.fetch_at tally cluster ~clients ~proxy:pa
+      ~at:(Sim.epoch +. 5.0 +. (0.002 *. float_of_int i))
+      "http://www.example.edu/hot.html"
   done;
-  Sim.run ~until:(epoch +. 60.0) sim;
+  Sim.run ~until:(Sim.epoch +. 60.0) (Core.Node.Cluster.sim cluster);
   if attach then begin
     List.iter Harness.attach_node (pa :: neighbors);
     match Harness.registry () with
     | Some m -> Metrics.merge ~into:m (Core.Sim.Net.metrics (Core.Node.Cluster.net cluster))
     | None -> ()
   end;
-  let p99 =
-    match List.sort compare !latencies with
-    | [] -> 0.0
-    | sorted ->
-      let n = List.length sorted in
-      List.nth sorted (min (n - 1) (int_of_float (Float.of_int n *. 0.99)))
-  in
   let ma = Core.Node.Node.metrics pa in
   {
-    issued = !issued;
-    ok = !ok;
-    rejected = !rejected;
-    errors = !errors;
-    p99;
+    tally;
+    goodput = Open_loop.goodput tally;
+    p99 = Open_loop.percentile tally.latencies 0.99;
     offload_spread =
       List.map
         (fun name ->
@@ -142,7 +108,7 @@ let diffusion () =
   let report label o =
     Printf.printf
       "  %-24s %3d issued  %3d ok  %3d shed  %3d errors  p99 %6.3fs  (%.0f%% goodput)\n"
-      label o.issued o.ok o.rejected o.errors o.p99 (100.0 *. goodput o)
+      label o.tally.issued o.tally.ok o.tally.rejected o.tally.errors o.p99 (100.0 *. o.goodput)
   in
   report "redirect-only baseline:" baseline;
   report "diffusion enabled:" diffused;
@@ -152,8 +118,8 @@ let diffusion () =
        (List.map (fun (name, n) -> Printf.sprintf "%s=%d" name n) diffused.offload_spread))
     diffused.rejects diffused.fallbacks;
   Printf.printf "  goodput %.2f -> %.2f %s   p99 %.3fs -> %.3fs %s   spread %d %s\n"
-    (goodput baseline) (goodput diffused)
-    (if goodput diffused > goodput baseline then "(improved: pass)" else "(NOT IMPROVED)")
+    baseline.goodput diffused.goodput
+    (if diffused.goodput > baseline.goodput then "(improved: pass)" else "(NOT IMPROVED)")
     baseline.p99 diffused.p99
     (if diffused.p99 <= baseline.p99 then "(bounded: pass)" else "(WORSE)")
     (List.length spread)
@@ -161,10 +127,10 @@ let diffusion () =
   match Harness.registry () with
   | None -> ()
   | Some m ->
-    Metrics.set_gauge m "diffusion.baseline-goodput" (goodput baseline);
-    Metrics.set_gauge m "diffusion.enabled-goodput" (goodput diffused);
+    Metrics.set_gauge m "diffusion.baseline-goodput" baseline.goodput;
+    Metrics.set_gauge m "diffusion.enabled-goodput" diffused.goodput;
     Metrics.set_gauge m "diffusion.baseline-p99" baseline.p99;
     Metrics.set_gauge m "diffusion.enabled-p99" diffused.p99;
     Metrics.set_gauge m "diffusion.offload-spread" (float_of_int (List.length spread));
-    Metrics.set_gauge m "diffusion.baseline-sheds" (float_of_int baseline.rejected);
-    Metrics.set_gauge m "diffusion.enabled-sheds" (float_of_int diffused.rejected)
+    Metrics.set_gauge m "diffusion.baseline-sheds" (float_of_int baseline.tally.rejected);
+    Metrics.set_gauge m "diffusion.enabled-sheds" (float_of_int diffused.tally.rejected)

@@ -8,91 +8,34 @@
    run's fault-layer counters (net.dropped, bus.retries,
    bus.dead_letters, node.crashes, dht.fallbacks, cache.stale_served). *)
 
-module Plan = Core.Faults.Plan
+module Chaos = Core.Workload.Chaos
 module Metrics = Core.Telemetry.Metrics
-
-(* The simulator's default start time; fault plans use absolute times
-   and are built before the cluster exists. *)
-let epoch = Core.Sim.Sim.epoch
-
-let proxy_names =
-  [ "nk-a.nakika.net"; "nk-b.nakika.net"; "nk-c.nakika.net"; "nk-d.nakika.net" ]
-
-(* Mirrors the chaos test suite's workload: 30 requests over 60 s from
-   two clients, round-robined over the four proxies, each with a 15 s
-   client timeout. Only the [attach]ed run's registries land in the
-   experiment dump, so baseline and degraded counters do not mix. *)
-let run_scenario ~attach plan =
-  let cluster = Core.Node.Cluster.create ~seed:(Plan.seed plan) ~faults:plan () in
-  let origin = Core.Node.Cluster.add_origin cluster ~name:"www.example.edu" () in
-  Core.Node.Origin.set_static origin ~path:"/index.html" ~max_age:60 "<html>chaos</html>";
-  Core.Node.Origin.set_static origin ~path:"/other.html" ~max_age:60 "<html>other</html>";
-  let proxies =
-    List.map (fun name -> Core.Node.Cluster.add_proxy cluster ~name ()) proxy_names
-  in
-  let clients =
-    [ Core.Node.Cluster.add_client cluster ~name:"c1";
-      Core.Node.Cluster.add_client cluster ~name:"c2" ]
-  in
-  let sim = Core.Node.Cluster.sim cluster in
-  let proxy_arr = Array.of_list proxies in
-  let client_arr = Array.of_list clients in
-  let issued = ref 0 and answered = ref 0 and ok = ref 0 in
-  for i = 0 to 29 do
-    Core.Sim.Sim.schedule_at sim
-      (epoch +. 1.0 +. (2.0 *. float_of_int i))
-      (fun () ->
-        incr issued;
-        let path = if i mod 3 = 0 then "/other.html" else "/index.html" in
-        Core.Node.Cluster.fetch cluster
-          ~client:client_arr.(i mod Array.length client_arr)
-          ~proxy:proxy_arr.(i mod Array.length proxy_arr)
-          ~timeout:15.0
-          (Core.Http.Message.request ("http://www.example.edu" ^ path))
-          (fun resp ->
-            incr answered;
-            if Core.Http.Status.is_success resp.Core.Http.Message.status then incr ok))
-  done;
-  (* Past the last client timeout (offset 59 + 15 s) with slack for
-     retry and anti-entropy daemons. *)
-  Core.Sim.Sim.run ~until:(epoch +. 120.0) sim;
-  if attach then begin
-    List.iter Harness.attach_node proxies;
-    match Harness.registry () with
-    | Some m ->
-      Metrics.merge ~into:m (Core.Sim.Net.metrics (Core.Node.Cluster.net cluster));
-      Metrics.merge ~into:m
-        (Core.Replication.Message_bus.metrics (Core.Node.Cluster.bus cluster));
-      Metrics.merge ~into:m (Core.Overlay.Dht.metrics (Core.Node.Cluster.dht cluster))
-    | None -> ()
-  end;
-  (!issued, !answered, !ok)
 
 let rate ok issued = 100.0 *. float_of_int ok /. float_of_int (max 1 issued)
 
 let faults () =
   Harness.header "Fault tolerance (chaos acceptance scenario)";
-  let b_issued, b_answered, b_ok = run_scenario ~attach:false (Plan.create ~seed:3 ()) in
-  let plan = Plan.create ~seed:3 () in
-  Plan.drop_link plan ~probability:0.10 ();
-  Plan.partition plan
-    ~a:[ "nk-a.nakika.net"; "nk-b.nakika.net" ]
-    ~b:[ "nk-c.nakika.net"; "nk-d.nakika.net" ]
-    ~at:(epoch +. 10.0) ~heal:(epoch +. 25.0);
-  let d_issued, d_answered, d_ok = run_scenario ~attach:true plan in
-  let hung = b_issued - b_answered + (d_issued - d_answered) in
-  let ratio = float_of_int d_ok /. float_of_int (max 1 b_ok) in
-  Printf.printf "  %-34s %3d issued  %3d answered  %3d ok  (%.0f%% success)\n"
-    "fault-free baseline:" b_issued b_answered b_ok (rate b_ok b_issued);
-  Printf.printf "  %-34s %3d issued  %3d answered  %3d ok  (%.0f%% success)\n"
-    "10% drops + healed partition:" d_issued d_answered d_ok (rate d_ok d_issued);
+  let b = Chaos.run (Chaos.acceptance_plan ~degraded:false) in
+  let d = Chaos.run (Chaos.acceptance_plan ~degraded:true) in
+  (* Only the degraded run's registries land in the dump, so baseline
+     and degraded counters do not mix. *)
+  List.iter Harness.attach_node (Core.Node.Cluster.proxies d.cluster);
+  Option.iter (fun into -> Chaos.merge_metrics ~into d.cluster) (Harness.registry ());
+  let hung = b.issued - b.answered + (d.issued - d.answered) in
+  let ratio = float_of_int d.ok /. float_of_int (max 1 b.ok) in
+  let report label (o : Chaos.outcome) =
+    Printf.printf "  %-34s %3d issued  %3d answered  %3d ok  (%.0f%% success)\n" label o.issued
+      o.answered o.ok (rate o.ok o.issued)
+  in
+  report "fault-free baseline:" b;
+  report "10% drops + healed partition:" d;
   Printf.printf "  hung requests: %d   degraded/baseline success ratio: %.2f %s\n" hung
     ratio
     (if hung = 0 && ratio >= 0.8 then "(>= 0.80: pass)" else "(BELOW TARGET)");
   match Harness.registry () with
   | None -> ()
   | Some m ->
-    Metrics.set_gauge m "faults.baseline-success-rate" (rate b_ok b_issued);
-    Metrics.set_gauge m "faults.degraded-success-rate" (rate d_ok d_issued);
+    Metrics.set_gauge m "faults.baseline-success-rate" (rate b.ok b.issued);
+    Metrics.set_gauge m "faults.degraded-success-rate" (rate d.ok d.issued);
     Metrics.set_gauge m "faults.success-ratio" ratio;
     Metrics.set_gauge m "faults.hung-requests" (float_of_int hung)

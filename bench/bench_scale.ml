@@ -24,8 +24,7 @@
 
 module Metrics = Core.Telemetry.Metrics
 module Sim = Core.Sim.Sim
-
-let epoch = Sim.epoch
+module Open_loop = Core.Workload.Open_loop
 
 let universe = 10_000
 let skew = 0.9
@@ -47,10 +46,8 @@ let total_requests =
 type outcome = {
   nodes : int;
   replication : bool;
-  issued : int;
-  ok : int;
-  rejected : int;
-  errors : int;
+  tally : Open_loop.t;
+  goodput : float;
   p99 : float;
   hot_p99 : float;
   mean_hops : float;
@@ -59,13 +56,6 @@ type outcome = {
   hotspots_live : int;
   events : int;
 }
-
-let goodput o = float_of_int o.ok /. float_of_int (max 1 o.issued)
-
-let percentile sorted p =
-  match sorted with
-  | [||] -> 0.0
-  | a -> a.(min (Array.length a - 1) (int_of_float (float_of_int (Array.length a) *. p)))
 
 let run_arm ~nodes ~replication =
   let cluster =
@@ -114,34 +104,19 @@ let run_arm ~nodes ~replication =
   (* The workload stream is drawn from its own PRNG, independent of
      the cluster's, so the off and on arms see the identical crowd. *)
   let wl = Core.Util.Prng.create 9001 in
-  let issued = ref 0 and ok = ref 0 and rejected = ref 0 and errors = ref 0 in
-  let latencies = ref [] and hot_latencies = ref [] in
+  let tally = Open_loop.create () and hot_latencies = ref [] in
   for i = 0 to total_requests - 1 do
-    let at = epoch +. 5.0 +. (float_of_int i /. rate) in
+    let at = Sim.epoch +. 5.0 +. (float_of_int i /. rate) in
     let rank = Core.Workload.Zipf.sample zipf wl in
     let client = clients.(Core.Util.Prng.int wl (Array.length clients)) in
-    let url = Printf.sprintf "http://www.crowd.example/zipf/%d.html" rank in
-    Sim.schedule_at sim at (fun () ->
-        incr issued;
-        let started = Sim.now sim in
-        Core.Node.Cluster.fetch cluster ~client ~timeout:10.0 (Core.Http.Message.request url)
-          (fun resp ->
-            match resp.Core.Http.Message.status with
-            | 200 ->
-              incr ok;
-              let elapsed = Sim.now sim -. started in
-              latencies := elapsed :: !latencies;
-              if rank < hot_ranks then hot_latencies := elapsed :: !hot_latencies
-            | 503 -> incr rejected
-            | _ -> incr errors))
+    Open_loop.fetch_at tally cluster ~at ~clients:[| client |]
+      ~on_response:(fun resp elapsed ->
+        if resp.Core.Http.Message.status = 200 && rank < hot_ranks then
+          hot_latencies := elapsed :: !hot_latencies)
+      (Printf.sprintf "http://www.crowd.example/zipf/%d.html" rank)
   done;
-  let horizon = epoch +. 5.0 +. (float_of_int total_requests /. rate) +. 15.0 in
+  let horizon = Sim.epoch +. 5.0 +. (float_of_int total_requests /. rate) +. 15.0 in
   Sim.run ~until:horizon sim;
-  let sorted l =
-    let a = Array.of_list l in
-    Array.sort compare a;
-    a
-  in
   let dht = Core.Node.Cluster.dht cluster in
   let dm = Core.Overlay.Dht.metrics dht in
   let mean_hops =
@@ -153,12 +128,10 @@ let run_arm ~nodes ~replication =
   {
     nodes;
     replication;
-    issued = !issued;
-    ok = !ok;
-    rejected = !rejected;
-    errors = !errors;
-    p99 = percentile (sorted !latencies) 0.99;
-    hot_p99 = percentile (sorted !hot_latencies) 0.99;
+    tally;
+    goodput = Open_loop.goodput tally;
+    p99 = Open_loop.percentile tally.latencies 0.99;
+    hot_p99 = Open_loop.percentile !hot_latencies 0.99;
     mean_hops;
     sloppy_hits = Metrics.counter dm "dht.sloppy_hits";
     replications = Metrics.counter dm "dht.hotspot_replications";
@@ -174,12 +147,12 @@ let export o =
   | None -> ()
   | Some m ->
     let p = gauge_prefix o in
-    Metrics.set_gauge m (p ^ ".goodput") (goodput o);
+    Metrics.set_gauge m (p ^ ".goodput") o.goodput;
     Metrics.set_gauge m (p ^ ".p99") o.p99;
     Metrics.set_gauge m (p ^ ".hot-p99") o.hot_p99;
     Metrics.set_gauge m (p ^ ".mean-hops") o.mean_hops;
-    Metrics.set_gauge m (p ^ ".issued") (float_of_int o.issued);
-    Metrics.set_gauge m (p ^ ".ok") (float_of_int o.ok);
+    Metrics.set_gauge m (p ^ ".issued") (float_of_int o.tally.issued);
+    Metrics.set_gauge m (p ^ ".ok") (float_of_int o.tally.ok);
     Metrics.set_gauge m (p ^ ".sloppy-hits") (float_of_int o.sloppy_hits);
     Metrics.set_gauge m (p ^ ".hotspot-replications") (float_of_int o.replications);
     Metrics.set_gauge m (p ^ ".hotspots") (float_of_int o.hotspots_live);
@@ -200,8 +173,8 @@ let scale () =
                hops %4.1f  sloppy %5d  repl %3d  (%d sim events)\n%!"
               nodes
               (if replication then "repl-on " else "repl-off")
-              o.ok o.issued o.rejected o.errors (1000.0 *. o.p99) (1000.0 *. o.hot_p99)
-              o.mean_hops o.sloppy_hits o.replications o.events;
+              o.tally.ok o.tally.issued o.tally.rejected o.tally.errors (1000.0 *. o.p99)
+              (1000.0 *. o.hot_p99) o.mean_hops o.sloppy_hits o.replications o.events;
             export o;
             o)
           [ false; true ])
@@ -214,7 +187,7 @@ let scale () =
   let mid = List.fold_left (fun acc n -> if n < biggest then max acc n else acc) 0 node_counts in
   (match (find biggest true, find mid true, find biggest false) with
    | Some big_on, Some mid_on, Some big_off when mid > 0 ->
-     let ratio = goodput big_on /. Float.max 1e-9 (goodput mid_on) in
+     let ratio = big_on.goodput /. Float.max 1e-9 mid_on.goodput in
      let hot_gain = big_off.hot_p99 -. big_on.hot_p99 in
      Printf.printf
        "  goodput %d vs %d nodes (repl on): %.3f %s   hot-p99 %d nodes: off %.1fms on %.1fms %s\n"

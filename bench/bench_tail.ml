@@ -22,13 +22,7 @@
 module Metrics = Core.Telemetry.Metrics
 module Sim = Core.Sim.Sim
 module Plan = Core.Faults.Plan
-
-let epoch = Sim.epoch
-
-let seed_base =
-  match int_of_string_opt (try Sys.getenv "NAKIKA_CHAOS_SEED" with Not_found -> "0") with
-  | Some n -> n * 1_000_003
-  | None -> 0
+module Open_loop = Core.Workload.Open_loop
 
 let holder_a = "nk-a.nakika.net"
 let holder_b = "nk-b.nakika.net" (* warmed last -> newest announcement -> primary *)
@@ -39,10 +33,8 @@ let spike_extra = 1.5
 let spike_probability = 0.02
 
 type outcome = {
-  issued : int;
-  ok : int;
-  rejected : int;
-  errors : int;
+  tally : Open_loop.t;
+  goodput : float;
   p50 : float;
   p99 : float;
   hedges : int;
@@ -51,18 +43,12 @@ type outcome = {
   expired : int;
 }
 
-let goodput o = float_of_int o.ok /. float_of_int (max 1 o.issued)
-
-let percentile sorted p =
-  match sorted with
-  | [||] -> 0.0
-  | a -> a.(min (Array.length a - 1) (int_of_float (float_of_int (Array.length a) *. p)))
-
 let run_scenario ~attach ~tail () =
-  let plan = Plan.create ~seed:(11 + seed_base) () in
+  let chaos_seed = Core.Workload.Chaos.seed_base () in
+  let plan = Plan.create ~seed:(11 + chaos_seed) () in
   Plan.spike_link plan ~src:edge ~dst:holder_b ~probability:spike_probability
     ~extra:spike_extra ();
-  let cluster = Core.Node.Cluster.create ~seed:(seed_base + 7) ~faults:plan () in
+  let cluster = Core.Node.Cluster.create ~seed:(chaos_seed + 7) ~faults:plan () in
   let origin = Core.Node.Cluster.add_origin cluster ~name:"www.crowd.example" () in
   for r = 0 to universe - 1 do
     Core.Node.Origin.set_static origin
@@ -118,42 +104,26 @@ let run_scenario ~attach ~tail () =
      own PRNG so both arms see the identical request stream. *)
   let zipf = Core.Workload.Zipf.create ~s:0.9 ~universe in
   let wl = Core.Util.Prng.create 9001 in
-  let issued = ref 0 and ok = ref 0 and rejected = ref 0 and errors = ref 0 in
-  let latencies = ref [] in
+  let clients = [| client |] and tally = Open_loop.create () in
   for i = 0 to total_requests - 1 do
     let rank = Core.Workload.Zipf.sample zipf wl in
-    Sim.schedule_at sim
-      (epoch +. 5.0 +. (0.01 *. float_of_int i))
-      (fun () ->
-        incr issued;
-        let started = Sim.now sim in
-        Core.Node.Cluster.fetch cluster ~client ~proxy:pc ~timeout:10.0
-          (Core.Http.Message.request
-             (Printf.sprintf "http://www.crowd.example/zipf/%d.html" rank))
-          (fun resp ->
-            match resp.Core.Http.Message.status with
-            | 200 ->
-              incr ok;
-              latencies := (Sim.now sim -. started) :: !latencies
-            | 503 -> incr rejected
-            | _ -> incr errors))
+    Open_loop.fetch_at tally cluster ~clients ~proxy:pc
+      ~at:(Sim.epoch +. 5.0 +. (0.01 *. float_of_int i))
+      (Printf.sprintf "http://www.crowd.example/zipf/%d.html" rank)
   done;
-  Sim.run ~until:(epoch +. 5.0 +. (0.01 *. float_of_int total_requests) +. 20.0) sim;
+  Sim.run ~until:(Sim.epoch +. 5.0 +. (0.01 *. float_of_int total_requests) +. 20.0) sim;
   if attach then begin
     Harness.attach_node pc;
     match Harness.registry () with
     | Some m -> Metrics.merge ~into:m (Core.Sim.Net.metrics (Core.Node.Cluster.net cluster))
     | None -> ()
   end;
-  let sorted = Array.of_list (List.sort compare !latencies) in
   let mc = Core.Node.Node.metrics pc in
   {
-    issued = !issued;
-    ok = !ok;
-    rejected = !rejected;
-    errors = !errors;
-    p50 = percentile sorted 0.50;
-    p99 = percentile sorted 0.99;
+    tally;
+    goodput = Open_loop.goodput tally;
+    p50 = Open_loop.percentile tally.latencies 0.50;
+    p99 = Open_loop.percentile tally.latencies 0.99;
     hedges = Metrics.counter_total mc "hedge.issued";
     wins = Metrics.counter_total mc "hedge.wins";
     cancelled = Metrics.counter_total mc "hedge.cancelled";
@@ -168,25 +138,26 @@ let tail () =
     Printf.printf
       "  %-22s %3d issued  %3d ok  %2d shed  %2d errors  p50 %6.3fs  p99 %6.3fs  (%.0f%% \
        goodput)\n"
-      label o.issued o.ok o.rejected o.errors o.p50 o.p99 (100.0 *. goodput o)
+      label o.tally.issued o.tally.ok o.tally.rejected o.tally.errors o.p50 o.p99
+      (100.0 *. o.goodput)
   in
   report "tail machinery off:" baseline;
   report "deadlines + hedging:" hedged;
-  let overhead = float_of_int hedged.hedges /. float_of_int (max 1 hedged.issued) in
+  let overhead = float_of_int hedged.hedges /. float_of_int (max 1 hedged.tally.issued) in
   Printf.printf "  hedges %d (%.1f%% of load)  wins %d  cancelled %d  deadline-expired %d\n"
     hedged.hedges (100.0 *. overhead) hedged.wins hedged.cancelled hedged.expired;
   let p99_ratio = hedged.p99 /. Float.max 1e-9 baseline.p99 in
   Printf.printf "  p99 %.3fs -> %.3fs (%.0f%% %s)   goodput %.2f vs %.2f %s   overhead %s\n"
     baseline.p99 hedged.p99 (100.0 *. p99_ratio)
     (if p99_ratio <= 0.6 then "of baseline: pass" else "NOT <= 60%")
-    (goodput baseline) (goodput hedged)
-    (if Float.abs (goodput hedged -. goodput baseline) <= 0.02 then "(within 2%: pass)"
+    baseline.goodput hedged.goodput
+    (if Float.abs (hedged.goodput -. baseline.goodput) <= 0.02 then "(within 2%: pass)"
      else "(DIVERGED)")
     (* The governor's bound is rate * primaries plus the initial burst
        (100 * rate tokens); anything above that means the bucket leaked. *)
     (if
        float_of_int hedged.hedges
-       <= (0.05 *. float_of_int hedged.issued) +. (100.0 *. 0.05) +. 1.0
+       <= (0.05 *. float_of_int hedged.tally.issued) +. (100.0 *. 0.05) +. 1.0
      then "(<= 5% + burst: pass)"
      else "(OVER BUDGET)");
   match Harness.registry () with
@@ -195,8 +166,8 @@ let tail () =
     Metrics.set_gauge m "tail.baseline-p99" baseline.p99;
     Metrics.set_gauge m "tail.enabled-p99" hedged.p99;
     Metrics.set_gauge m "tail.p99-ratio" p99_ratio;
-    Metrics.set_gauge m "tail.baseline-goodput" (goodput baseline);
-    Metrics.set_gauge m "tail.enabled-goodput" (goodput hedged);
+    Metrics.set_gauge m "tail.baseline-goodput" baseline.goodput;
+    Metrics.set_gauge m "tail.enabled-goodput" hedged.goodput;
     Metrics.set_gauge m "tail.hedge-overhead" overhead;
     Metrics.set_gauge m "tail.hedge-wins" (float_of_int hedged.wins);
     Metrics.set_gauge m "tail.deadline-expired" (float_of_int hedged.expired)

@@ -6,125 +6,57 @@
    never fire callbacks captured before the crash. CI runs this suite
    under several NAKIKA_CHAOS_SEED values. *)
 
-open Core.Node
-open Core.Http
 module Plan = Core.Faults.Plan
 module Sim = Core.Sim.Sim
 module Net = Core.Sim.Net
-module Prng = Core.Util.Prng
 module Metrics = Core.Telemetry.Metrics
+module Chaos = Core.Workload.Chaos
+module Overload = Core.Workload.Overload
+module Open_loop = Core.Workload.Open_loop
 
-(* The simulator's default start time (January 2006); fault plans use
-   absolute times and are built before the cluster exists. *)
-let epoch = Sim.epoch
+(* CI reruns the chaos soak under a few fixed seeds via
+   NAKIKA_CHAOS_SEED; the soak's [s]-th schedule is [random_plan] of
+   [plan_seed s]. *)
+let plan_seed s = Chaos.seed_base () + s
 
-(* CI reruns the chaos soak under a few fixed seeds via this variable;
-   locally it defaults to 0. *)
-let seed_base =
-  match int_of_string_opt (try Sys.getenv "NAKIKA_CHAOS_SEED" with Not_found -> "0") with
-  | Some n -> n * 1_000_003
-  | None -> 0
+(* What QCheck prints for a failing soak seed: the plan seed actually
+   run and the command that replays it outside the test suite. *)
+let replay s =
+  Printf.sprintf "%d (plan seed %d; replay with: nakika chaos --seed %d)" s (plan_seed s)
+    (plan_seed s)
 
-let proxy_names =
-  [ "nk-a.nakika.net"; "nk-b.nakika.net"; "nk-c.nakika.net"; "nk-d.nakika.net" ]
-
-(* Derive a random-but-reproducible fault schedule from [seed], within
-   the soak envelope: drops <= 30%, at most 2 partitions that always
-   heal, at most one crash/restart per proxy. *)
-let random_plan seed =
-  let rng = Prng.create (seed_base + seed) in
-  let plan = Plan.create ~seed:(seed_base + seed) () in
-  Plan.drop_link plan ~probability:(Prng.float rng 0.30) ();
-  if Prng.bool rng then
-    Plan.spike_link plan ~probability:(Prng.float rng 0.2) ~extra:(Prng.float rng 2.0) ();
-  let n_partitions = Prng.int rng 3 in
-  for _ = 1 to n_partitions do
-    let split = 1 + Prng.int rng 3 in
-    let a = List.filteri (fun i _ -> i < split) proxy_names in
-    let b = List.filteri (fun i _ -> i >= split) proxy_names in
-    let at = epoch +. 5.0 +. Prng.float rng 25.0 in
-    Plan.partition plan ~a ~b ~at ~heal:(at +. 2.0 +. Prng.float rng 8.0)
-  done;
-  List.iter
-    (fun name ->
-      if Prng.bool rng then begin
-        let at = epoch +. 5.0 +. Prng.float rng 35.0 in
-        Plan.crash plan ~host:name ~at ~restart:(at +. 1.0 +. Prng.float rng 9.0) ()
-      end)
-    proxy_names;
-  plan
-
-(* A 4-node cluster replaying a script-free workload (no nakika.js, so
-   no process-global script caches can perturb the telemetry snapshot)
-   under the given plan. Returns (issued, answered, ok, statuses in
-   order, fault-layer telemetry). *)
-let run_chaos plan =
-  let cluster = Cluster.create ~seed:(Plan.seed plan) ~faults:plan () in
-  let origin = Cluster.add_origin cluster ~name:"www.example.edu" () in
-  Origin.set_static origin ~path:"/index.html" ~max_age:60 "<html>chaos</html>";
-  Origin.set_static origin ~path:"/other.html" ~max_age:60 "<html>other</html>";
-  let proxies =
-    List.map (fun name -> Cluster.add_proxy cluster ~name ()) proxy_names
-  in
-  let clients =
-    [ Cluster.add_client cluster ~name:"c1"; Cluster.add_client cluster ~name:"c2" ]
-  in
-  let issued = ref 0 and answered = ref 0 and ok = ref 0 in
-  let statuses = Buffer.create 256 in
-  let sim = Cluster.sim cluster in
-  let proxy_arr = Array.of_list proxies in
-  let client_arr = Array.of_list clients in
-  for i = 0 to 29 do
-    let offset = 1.0 +. (2.0 *. float_of_int i) in
-    Sim.schedule_at sim (epoch +. offset) (fun () ->
-        incr issued;
-        let path = if i mod 3 = 0 then "/other.html" else "/index.html" in
-        let client = client_arr.(i mod Array.length client_arr) in
-        let proxy = proxy_arr.(i mod Array.length proxy_arr) in
-        Cluster.fetch cluster ~client ~proxy ~timeout:15.0
-          (Message.request ("http://www.example.edu" ^ path))
-          (fun resp ->
-            incr answered;
-            if Status.is_success resp.Message.status then incr ok;
-            Buffer.add_string statuses (string_of_int resp.Message.status);
-            Buffer.add_char statuses ' '))
-  done;
-  (* Past the last possible client timeout (offset 59 + 15s) with slack
-     for retry/anti-entropy daemons. *)
-  Sim.run ~until:(epoch +. 120.0) sim;
+let telemetry (o : Chaos.outcome) =
   let m = Metrics.create () in
-  Metrics.merge ~into:m (Net.metrics (Cluster.net cluster));
-  Metrics.merge ~into:m (Core.Replication.Message_bus.metrics (Cluster.bus cluster));
-  Metrics.merge ~into:m (Core.Overlay.Dht.metrics (Cluster.dht cluster));
-  (!issued, !answered, !ok, Buffer.contents statuses, Metrics.to_json_lines m)
+  Chaos.merge_metrics ~into:m o.cluster;
+  Metrics.to_json_lines m
 
 (* --- the qcheck soak ------------------------------------------------ *)
 
 let chaos_soak_prop =
   QCheck.Test.make ~name:"chaos soak: no hung requests under random schedules"
-    ~count:200 QCheck.small_nat (fun seed ->
-      let issued, answered, _ok, _statuses, _telemetry = run_chaos (random_plan seed) in
-      issued = 30 && answered = issued)
+    ~count:200 (QCheck.set_print replay QCheck.small_nat) (fun s ->
+      let o = Chaos.run (Chaos.random_plan (plan_seed s)) in
+      o.issued = 30 && o.answered = o.issued)
 
 let test_chaos_determinism () =
   (* Same seed => identical fault schedule, identical responses in
      identical order, bit-identical fault-layer telemetry. *)
-  let seed = 1234 in
-  let run () = run_chaos (random_plan seed) in
-  let i1, a1, ok1, s1, t1 = run () in
-  let i2, a2, ok2, s2, t2 = run () in
-  Alcotest.(check int) "issued" i1 i2;
-  Alcotest.(check int) "answered" a1 a2;
-  Alcotest.(check int) "ok" ok1 ok2;
-  Alcotest.(check string) "status stream" s1 s2;
-  Alcotest.(check string) "telemetry snapshot" t1 t2
+  let run () = Chaos.run (Chaos.random_plan (plan_seed 1234)) in
+  let o1 = run () in
+  let o2 = run () in
+  Alcotest.(check int) "issued" o1.issued o2.issued;
+  Alcotest.(check int) "answered" o1.answered o2.answered;
+  Alcotest.(check int) "ok" o1.ok o2.ok;
+  Alcotest.(check string) "status stream" o1.statuses o2.statuses;
+  Alcotest.(check string) "telemetry snapshot" (telemetry o1) (telemetry o2)
 
 let test_different_seeds_differ () =
   (* Not a hard guarantee for any pair, but these two differ — guards
      against the plan ignoring its seed entirely. *)
-  let _, _, _, s1, t1 = run_chaos (random_plan 1) in
-  let _, _, _, s2, t2 = run_chaos (random_plan 2) in
-  Alcotest.(check bool) "schedules differ" true (s1 <> s2 || t1 <> t2)
+  let o1 = Chaos.run (Chaos.random_plan (plan_seed 1)) in
+  let o2 = Chaos.run (Chaos.random_plan (plan_seed 2)) in
+  Alcotest.(check bool) "schedules differ" true
+    (o1.statuses <> o2.statuses || telemetry o1 <> telemetry o2)
 
 (* --- plan unit behaviour -------------------------------------------- *)
 
@@ -241,20 +173,14 @@ let test_dropped_send_counts () =
 (* --- the acceptance scenario: 10% drops + one healed partition ------- *)
 
 let test_degraded_run_keeps_most_successes () =
-  let run plan =
-    let issued, answered, ok, _, _ = run_chaos plan in
-    Alcotest.(check int) "all issued" 30 issued;
-    Alcotest.(check int) "no hung requests" issued answered;
-    ok
+  let run ~degraded =
+    let o = Chaos.run (Chaos.acceptance_plan ~degraded) in
+    Alcotest.(check int) "all issued" 30 o.issued;
+    Alcotest.(check int) "no hung requests" o.issued o.answered;
+    o.ok
   in
-  let baseline = run (Plan.create ~seed:3 ()) in
-  let plan = Plan.create ~seed:3 () in
-  Plan.drop_link plan ~probability:0.10 ();
-  Plan.partition plan
-    ~a:[ "nk-a.nakika.net"; "nk-b.nakika.net" ]
-    ~b:[ "nk-c.nakika.net"; "nk-d.nakika.net" ]
-    ~at:(epoch +. 10.0) ~heal:(epoch +. 25.0);
-  let degraded = run plan in
+  let baseline = run ~degraded:false in
+  let degraded = run ~degraded:true in
   Alcotest.(check bool)
     (Printf.sprintf "degraded %d/30 within 80%% of baseline %d/30" degraded baseline)
     true
@@ -262,89 +188,54 @@ let test_degraded_run_keeps_most_successes () =
 
 (* --- overload acceptance: flash crowd + crash + dead origin ---------- *)
 
-(* The bench/bench_overload.ml scenario as a pass/fail test: a 600-
-   request flash crowd on one hot page plus a 30-request stream to a
-   fragile origin, run fault-free and then with one proxy crashing
-   mid-crowd (restarting 15 s later) and the fragile origin dead for
-   the rest of the run. The overload defenses (admission control,
-   health-aware redirection, circuit breakers, stale-if-error) must
-   keep goodput at >= 70% of baseline, answer every request, mark every
-   shed with Retry-After, and bound how often the dead origin is
-   actually contacted. *)
-let run_overload plan =
-  let cluster = Cluster.create ~seed:(seed_base + Plan.seed plan) ~faults:plan () in
-  let origin = Cluster.add_origin cluster ~name:"www.example.edu" () in
-  Origin.set_static origin ~path:"/hot.html" ~max_age:60 "<html>flash crowd</html>";
-  let dead = Cluster.add_origin cluster ~name:"dead.example.org" () in
-  Origin.set_static dead ~path:"/item.html" ~max_age:2 "<html>fragile</html>";
-  let proxies =
-    List.map
-      (fun name -> Cluster.add_proxy cluster ~name ())
-      [ "nk-a.nakika.net"; "nk-b.nakika.net"; "nk-c.nakika.net" ]
-  in
-  ignore proxies;
-  let clients =
-    [
-      Cluster.add_client cluster ~name:"c1";
-      Cluster.add_client cluster ~name:"c2";
-      Cluster.add_client cluster ~name:"c3";
-    ]
-  in
-  let sim = Cluster.sim cluster in
-  let client_arr = Array.of_list clients in
-  let issued = ref 0 and answered = ref 0 and ok = ref 0 in
-  (* On the hot page the origin stays healthy, so every 503 there is
-     node-generated (admission shed, quarantine, breaker) and must
-     carry Retry-After. The dead origin's own 503s pass through
-     verbatim until its breaker trips — those are exempt. *)
-  let sheds_without_retry_after = ref 0 in
-  let fetch_at ?(shed_must_hint = false) at url =
-    Sim.schedule_at sim at (fun () ->
-        incr issued;
-        Cluster.fetch cluster
-          ~client:client_arr.(!issued mod Array.length client_arr)
-          ~timeout:10.0 (Message.request url)
-          (fun resp ->
-            incr answered;
-            match resp.Message.status with
-            | 200 -> incr ok
-            | 503 ->
-              if shed_must_hint && Message.resp_header resp "Retry-After" = None then
-                incr sheds_without_retry_after
-            | _ -> ()))
-  in
-  for i = 0 to 599 do
-    fetch_at ~shed_must_hint:true
-      (epoch +. 5.0 +. (0.002 *. float_of_int i))
-      "http://www.example.edu/hot.html"
-  done;
-  for i = 0 to 29 do
-    fetch_at (epoch +. 1.0 +. float_of_int i) "http://dead.example.org/item.html"
-  done;
-  Sim.run ~until:(epoch +. 90.0) sim;
-  (!issued, !answered, !ok, !sheds_without_retry_after, Origin.request_count dead)
-
+(* The bench's overload scenario as a pass/fail test: a 600-request
+   flash crowd on one hot page plus a 30-request stream to a fragile
+   origin, run fault-free and then with one proxy crashing mid-crowd
+   (restarting 15 s later) and the fragile origin dead for the rest of
+   the run. The overload defenses (admission control, health-aware
+   redirection, circuit breakers, stale-if-error) must keep goodput at
+   >= 70% of baseline, answer every request, mark every shed with
+   Retry-After, and bound how often the dead origin is actually
+   contacted. *)
 let test_overload_acceptance () =
-  let issued, answered, baseline_ok, _, _ = run_overload (Plan.create ~seed:5 ()) in
-  Alcotest.(check int) "baseline: all issued" 630 issued;
-  Alcotest.(check int) "baseline: no hung requests" issued answered;
-  let plan = Plan.create ~seed:5 () in
-  Plan.crash plan ~host:"nk-b.nakika.net" ~at:(epoch +. 5.6) ~restart:(epoch +. 21.0) ();
-  Plan.fail_origin plan ~host:"dead.example.org" ~at:(epoch +. 4.0) ~until:(epoch +. 90.0) ();
-  let issued, answered, ok, bare_503s, dead_hits = run_overload plan in
-  Alcotest.(check int) "degraded: all issued" 630 issued;
-  Alcotest.(check int) "degraded: no hung requests" issued answered;
-  Alcotest.(check int) "degraded: every shed carries Retry-After" 0 bare_503s;
+  let baseline = (Overload.run (Overload.plan ~degraded:false)).tally in
+  Alcotest.(check int) "baseline: all issued" 630 baseline.issued;
+  Alcotest.(check int) "baseline: no hung requests" baseline.issued (Open_loop.answered baseline);
+  let o = Overload.run (Overload.plan ~degraded:true) in
+  let ok = o.tally.ok and dead_hits = o.dead_origin_hits in
+  Alcotest.(check int) "degraded: all issued" 630 o.tally.issued;
+  Alcotest.(check int) "degraded: no hung requests" o.tally.issued (Open_loop.answered o.tally);
+  Alcotest.(check int) "degraded: every shed carries Retry-After" 0 o.bare_503s;
   Alcotest.(check bool)
-    (Printf.sprintf "goodput %d/630 within 70%% of baseline %d/630" ok baseline_ok)
+    (Printf.sprintf "goodput %d/630 within 70%% of baseline %d/630" ok baseline.ok)
     true
-    (float_of_int ok >= 0.7 *. float_of_int baseline_ok);
+    (float_of_int ok >= 0.7 *. float_of_int baseline.ok);
   (* 30 requests target the dead origin; the circuit breaker fails fast
      after the first few, so only the initial failures plus occasional
      half-open probes ever reach the wire. *)
   Alcotest.(check bool)
     (Printf.sprintf "dead-origin fetches bounded by the breaker (%d)" dead_hits)
     true (dead_hits <= 15)
+
+(* --- replaying a soak failure --------------------------------------- *)
+
+let test_printed_seed_replays_soak_plan () =
+  (* The seed QCheck prints for a failing soak case, fed to
+     [nakika chaos --seed], must rebuild the very plan the soak ran —
+     also under NAKIKA_CHAOS_SEED, where the two numbers differ. *)
+  List.iter
+    (fun s ->
+      let printed = replay s in
+      let i = String.index printed '-' in
+      let seed =
+        Scanf.sscanf (String.sub printed i (String.length printed - i)) "--seed %d)" Fun.id
+      in
+      let soak = Chaos.random_plan (plan_seed s) in
+      Alcotest.(check string)
+        (Printf.sprintf "case %d replays" s)
+        (Plan.describe soak)
+        (Plan.describe (Chaos.random_plan seed)))
+    [ 0; 1; 7; 99 ]
 
 let suite =
   [
@@ -366,4 +257,6 @@ let suite =
     Alcotest.test_case "overload: flash crowd + crash + dead origin keeps 70% goodput"
       `Quick test_overload_acceptance;
     QCheck_alcotest.to_alcotest chaos_soak_prop;
+    Alcotest.test_case "chaos: the printed soak seed replays its plan" `Quick
+      test_printed_seed_replays_soak_plan;
   ]
