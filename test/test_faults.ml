@@ -225,10 +225,8 @@ let test_printed_seed_replays_soak_plan () =
      also under NAKIKA_CHAOS_SEED, where the two numbers differ. *)
   List.iter
     (fun s ->
-      let printed = replay s in
-      let i = String.index printed '-' in
       let seed =
-        Scanf.sscanf (String.sub printed i (String.length printed - i)) "--seed %d)" Fun.id
+        Scanf.sscanf (replay s) "%_d (plan seed %_d; replay with: nakika chaos --seed %d)" Fun.id
       in
       let soak = Chaos.random_plan (plan_seed s) in
       Alcotest.(check string)
