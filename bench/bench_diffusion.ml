@@ -78,12 +78,7 @@ let run_scenario ~attach ~diffusion () =
       "http://www.example.edu/hot.html"
   done;
   Sim.run ~until:(Sim.epoch +. 60.0) (Core.Node.Cluster.sim cluster);
-  if attach then begin
-    List.iter Harness.attach_node (pa :: neighbors);
-    match Harness.registry () with
-    | Some m -> Metrics.merge ~into:m (Core.Sim.Net.metrics (Core.Node.Cluster.net cluster))
-    | None -> ()
-  end;
+  if attach then Harness.attach_run cluster (pa :: neighbors);
   let ma = Core.Node.Node.metrics pa in
   {
     tally;

@@ -23,9 +23,7 @@ let overload () =
   Harness.header "Overload resilience (flash crowd + crash + dead origin)";
   let baseline = Overload.run (Overload.plan ~degraded:false) in
   let degraded = Overload.run (Overload.plan ~degraded:true) in
-  List.iter Harness.attach_node (Core.Node.Cluster.proxies degraded.cluster);
-  let net = Core.Node.Cluster.net degraded.cluster in
-  Option.iter (fun into -> Metrics.merge ~into (Core.Sim.Net.metrics net)) (Harness.registry ());
+  Harness.attach_run degraded.cluster (Core.Node.Cluster.proxies degraded.cluster);
   let b = baseline.tally and d = degraded.tally in
   let b_p99 = Open_loop.percentile b.latencies 0.99 in
   let d_p99 = Open_loop.percentile d.latencies 0.99 in

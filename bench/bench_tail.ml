@@ -112,12 +112,7 @@ let run_scenario ~attach ~tail () =
       (Printf.sprintf "http://www.crowd.example/zipf/%d.html" rank)
   done;
   Sim.run ~until:(Sim.epoch +. 5.0 +. (0.01 *. float_of_int total_requests) +. 20.0) sim;
-  if attach then begin
-    Harness.attach_node pc;
-    match Harness.registry () with
-    | Some m -> Metrics.merge ~into:m (Core.Sim.Net.metrics (Core.Node.Cluster.net cluster))
-    | None -> ()
-  end;
+  if attach then Harness.attach_run cluster [ pc ];
   let mc = Core.Node.Node.metrics pc in
   {
     tally;

@@ -21,6 +21,13 @@ let attach_node node =
   | Some e when not (List.memq node e.nodes) -> e.nodes <- node :: e.nodes
   | _ -> ()
 
+(* A finished load run joins the dump: its [nodes]' registries at
+   [finish_experiment], the network counters of its [cluster] now. *)
+let attach_run cluster nodes =
+  List.iter attach_node nodes;
+  let net = Core.Sim.Net.metrics (Core.Node.Cluster.net cluster) in
+  Option.iter (fun into -> Core.Telemetry.Metrics.merge ~into net) (registry ())
+
 (* Experiments in one process must not see each other's compiled
    programs: the process-wide compile cache and program-registry
    counters start empty, so every BENCH file is the same whether its
