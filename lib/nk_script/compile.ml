@@ -399,11 +399,62 @@ let resolve (cenv : cenv) name =
   in
   go 0 cenv
 
-let global_ref rt name = Hashtbl.find_opt rt.globals name
+(* --- global cells ------------------------------------------------------ *)
 
-let compile_var_read cenv name ~(on_missing : rt -> Value.t) : rt -> Value.t =
+(* One-entry inline cache per compiled global site: the cell [name] was
+   bound to in [table] when [Value.scope_epoch] was [epoch]. Every
+   insertion into or removal from any scope bumps the epoch, so a hit —
+   same table, same epoch — is exactly the cell a fresh [Hashtbl] probe
+   would return, and a read or write is one compare pair and a
+   dereference. [no_cell] holds [undeclared] and is never written, so
+   [!(global_cell g rt)] is [undeclared] for an unbound name. *)
+type gsite = {
+  gname : string;
+  mutable table : Value.scope;
+  mutable epoch : int;
+  mutable cell : Value.t ref;
+}
+
+let no_cell = ref undeclared
+
+let no_table : Value.scope = Hashtbl.create 1
+
+let gsite name = { gname = name; table = no_table; epoch = -1; cell = no_cell }
+
+let global_miss g rt =
+  match Hashtbl.find rt.globals g.gname with
+  | r ->
+    g.table <- rt.globals;
+    g.epoch <- !Value.scope_epoch;
+    g.cell <- r;
+    r
+  | exception Not_found -> no_cell
+
+let[@inline] global_cell g rt =
+  if g.table == rt.globals && g.epoch = !Value.scope_epoch then g.cell else global_miss g rt
+
+(* The value bound to [g]'s name, or [missing g] when it is unbound. *)
+let[@inline] read_global g rt missing =
+  let v = !(global_cell g rt) in
+  if v != undeclared then v else missing g
+
+let not_defined g = error "'%s' is not defined" g.gname
+
+let undefined_if_missing _ = Vundefined
+
+(* Assignment: first live binding wins; otherwise an existing global's
+   ref is mutated in place; otherwise the name springs into existence
+   in the *calling* context's globals — exactly the tree-walker's
+   [write_lvalue] (which looks up through the closure but creates new
+   globals in [ctx.globals]). *)
+let write_global g rt v =
+  let r = global_cell g rt in
+  if r != no_cell then r := v else I.define_global rt.ctx g.gname v
+
+let compile_var_read cenv name ~(on_missing : gsite -> Value.t) : rt -> Value.t =
+  let g = gsite name in
   match resolve cenv name with
-  | [] -> fun rt -> ( match global_ref rt name with Some r -> !r | None -> on_missing rt)
+  | [] -> fun rt -> read_global g rt on_missing
   | [ (0, s) ] -> (
     (* The common case — a local of the current function — compiles to
        one (bounds-checked-at-compile-time) array load. *)
@@ -411,16 +462,14 @@ let compile_var_read cenv name ~(on_missing : rt -> Value.t) : rt -> Value.t =
       match rt.frames with
       | f :: _ ->
         let v = Array.unsafe_get f s in
-        if v != undeclared then v
-        else ( match global_ref rt name with Some r -> !r | None -> on_missing rt)
+        if v != undeclared then v else read_global g rt on_missing
       | [] -> assert false)
   | cands ->
     let cands = Array.of_list cands in
     let n = Array.length cands in
     fun rt ->
       let rec go i =
-        if i >= n then
-          match global_ref rt name with Some r -> !r | None -> on_missing rt
+        if i >= n then read_global g rt on_missing
         else begin
           let d, s = cands.(i) in
           let v = (frame_at rt.frames d).(s) in
@@ -429,19 +478,10 @@ let compile_var_read cenv name ~(on_missing : rt -> Value.t) : rt -> Value.t =
       in
       go 0
 
-(* Assignment: first live binding wins; otherwise an existing global's
-   ref is mutated in place; otherwise the name springs into existence
-   in the *calling* context's globals — exactly the tree-walker's
-   [write_lvalue] (which looks up through the closure but creates new
-   globals in [ctx.globals]). *)
-let write_global rt name v =
-  match global_ref rt name with
-  | Some r -> r := v
-  | None -> Hashtbl.replace rt.ctx.globals name (ref v)
-
 let compile_var_write cenv name : rt -> Value.t -> unit =
+  let g = gsite name in
   match resolve cenv name with
-  | [] -> fun rt v -> write_global rt name v
+  | [] -> fun rt v -> write_global g rt v
   | [ (0, s) ] -> (
     (* Common case: a local of the current function — one array store
        (the inner [let rec] of the generic path would allocate a
@@ -450,14 +490,14 @@ let compile_var_write cenv name : rt -> Value.t -> unit =
       match rt.frames with
       | f :: _ ->
         if Array.unsafe_get f s != undeclared then Array.unsafe_set f s v
-        else write_global rt name v
+        else write_global g rt v
       | [] -> assert false)
   | cands ->
     let cands = Array.of_list cands in
     let n = Array.length cands in
     fun rt v ->
       let rec go i =
-        if i >= n then write_global rt name v
+        if i >= n then write_global g rt v
         else begin
           let d, s = cands.(i) in
           let f = frame_at rt.frames d in
@@ -469,20 +509,24 @@ let compile_var_write cenv name : rt -> Value.t -> unit =
 (* The for-in loop variable rebind: like a write, but a miss everywhere
    is silently dropped (mirrors [Sfor_in]'s [bind]). *)
 let compile_var_bind cenv name : rt -> Value.t -> unit =
+  let g = gsite name in
+  let bind_global rt v =
+    let r = global_cell g rt in
+    if r != no_cell then r := v
+  in
   match resolve cenv name with
   | [ (0, s) ] -> (
     fun rt v ->
       match rt.frames with
       | f :: _ ->
-        if Array.unsafe_get f s != undeclared then Array.unsafe_set f s v
-        else ( match global_ref rt name with Some r -> r := v | None -> ())
+        if Array.unsafe_get f s != undeclared then Array.unsafe_set f s v else bind_global rt v
       | [] -> assert false)
   | cands ->
     let cands = Array.of_list cands in
     let n = Array.length cands in
     fun rt v ->
       let rec go i =
-        if i >= n then ( match global_ref rt name with Some r -> r := v | None -> ())
+        if i >= n then bind_global rt v
         else begin
           let d, s = cands.(i) in
           let f = frame_at rt.frames d in
@@ -500,7 +544,7 @@ let compile_decl (cenv : cenv) name =
 let run_decl decl rt v =
   match decl with
   | Dslot s -> (List.hd rt.frames).(s) <- v
-  | Dglobal n -> Hashtbl.replace rt.globals n (ref v)
+  | Dglobal n -> scope_bind rt.globals n v
 
 (* --- constant folding ------------------------------------------------ *)
 
@@ -647,21 +691,16 @@ and compile_node cenv (e : Ast.expr) : cexpr =
     match resolve cenv name with
     | [ (0, s) ] -> (
       (* Fused charge + load for the common local-variable read. *)
+      let g = gsite name in
       fun rt ->
         charge1 rt.ctx;
         match rt.frames with
         | f :: _ ->
           let v = Array.unsafe_get f s in
-          if v != undeclared then v
-          else (
-            match global_ref rt name with
-            | Some r -> !r
-            | None -> error "'%s' is not defined" name)
+          if v != undeclared then v else read_global g rt not_defined
         | [] -> assert false)
     | _ ->
-      let read =
-        compile_var_read cenv name ~on_missing:(fun _ -> error "'%s' is not defined" name)
-      in
+      let read = compile_var_read cenv name ~on_missing:not_defined in
       fun rt ->
         charge1 rt.ctx;
         read rt)
@@ -761,6 +800,7 @@ and compile_node cenv (e : Ast.expr) : cexpr =
        handlers are accumulator updates like [s += c]. The undeclared
        fallback replays the generic read/write-through-globals path. *)
     let s = match resolve cenv name with [ (0, s) ] -> s | _ -> assert false in
+    let g = gsite name in
     let crhs = compile_expr cenv rhs_e in
     match op with
     | None -> (
@@ -770,7 +810,7 @@ and compile_node cenv (e : Ast.expr) : cexpr =
         (match rt.frames with
          | f :: _ ->
            if Array.unsafe_get f s != undeclared then Array.unsafe_set f s v
-           else write_global rt name v
+           else write_global g rt v
          | [] -> assert false);
         v)
     | Some binop -> (
@@ -787,9 +827,8 @@ and compile_node cenv (e : Ast.expr) : cexpr =
             v
           end
           else begin
-            let old = match global_ref rt name with Some r -> !r | None -> Vundefined in
-            let v = bop rt.ctx old rhs in
-            write_global rt name v;
+            let v = bop rt.ctx (read_global g rt undefined_if_missing) rhs in
+            write_global g rt v;
             v
           end
         | [] -> assert false))
@@ -841,40 +880,35 @@ and compile_node cenv (e : Ast.expr) : cexpr =
     let slot_of e =
       match e.Ast.desc with
       | Ast.Ident name -> (
-        match resolve cenv name with [ (0, s) ] -> Some (name, s) | _ -> None)
+        match resolve cenv name with [ (0, s) ] -> Some (gsite name, s) | _ -> None)
       | _ -> None
     in
     let const_of e =
       match fold e with Some (v, [ Cfuel ]) -> Some v | _ -> None
     in
-    let read_fallback rt name =
-      match global_ref rt name with
-      | Some r -> !r
-      | None -> error "'%s' is not defined" name
-    in
     match (slot_of a_e, const_of b_e, slot_of b_e) with
-    | Some (aname, sa), Some vb, _ ->
+    | Some (ga, sa), Some vb, _ ->
       fun rt -> (
         charge1 rt.ctx;
         charge1 rt.ctx;
         match rt.frames with
         | f :: _ ->
           let a = Array.unsafe_get f sa in
-          let a = if a != undeclared then a else read_fallback rt aname in
+          let a = if a != undeclared then a else read_global ga rt not_defined in
           charge1 rt.ctx;
           bop rt.ctx a vb
         | [] -> assert false)
-    | Some (aname, sa), None, Some (bname, sb) ->
+    | Some (ga, sa), None, Some (gb, sb) ->
       fun rt -> (
         charge1 rt.ctx;
         charge1 rt.ctx;
         match rt.frames with
         | f :: _ ->
           let a = Array.unsafe_get f sa in
-          let a = if a != undeclared then a else read_fallback rt aname in
+          let a = if a != undeclared then a else read_global ga rt not_defined in
           charge1 rt.ctx;
           let b = Array.unsafe_get f sb in
-          let b = if b != undeclared then b else read_fallback rt bname in
+          let b = if b != undeclared then b else read_global gb rt not_defined in
           bop rt.ctx a b
         | [] -> assert false)
     | _ -> (
@@ -928,6 +962,7 @@ and compile_step cenv lv delta prefix : cexpr =
   | Ast.Lident name when ( match resolve cenv name with [ (0, _) ] -> true | _ -> false) -> (
     (* Fused loop-counter update on a local slot. *)
     let s = match resolve cenv name with [ (0, s) ] -> s | _ -> assert false in
+    let g = gsite name in
     fun rt ->
       charge1 rt.ctx;
       match rt.frames with
@@ -940,13 +975,9 @@ and compile_step cenv lv delta prefix : cexpr =
           Vnum (if prefix then updated else old)
         end
         else begin
-          let old =
-            match global_ref rt name with
-            | Some r -> ( match !r with Vnum x -> x | v -> to_number v)
-            | None -> Float.nan
-          in
+          let old = to_number (read_global g rt undefined_if_missing) in
           let updated = old +. delta in
-          write_global rt name (Vnum updated);
+          write_global g rt (Vnum updated);
           Vnum (if prefix then updated else old)
         end
       | [] -> assert false)
@@ -963,7 +994,7 @@ and compile_lvalue cenv (lv : Ast.lvalue) : clval =
   match lv with
   | Ast.Lident name ->
     {
-      lread = compile_var_read cenv name ~on_missing:(fun _ -> Vundefined);
+      lread = compile_var_read cenv name ~on_missing:undefined_if_missing;
       lwrite = compile_var_write cenv name;
     }
   | Ast.Lmember (obj_e, name) ->

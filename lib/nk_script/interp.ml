@@ -41,11 +41,11 @@ let create ?(max_fuel = 5_000_000) ?(max_heap_bytes = 64 * 1024 * 1024) () =
     frame_pool_count = Array.make Value.frame_pool_sizes 0;
   }
 
-let define_global ctx name v = Hashtbl.replace ctx.globals name (ref v)
+let define_global ctx name v = scope_bind ctx.globals name v
 
 let get_global ctx name = Option.map (fun r -> !r) (Hashtbl.find_opt ctx.globals name)
 
-let remove_global ctx name = Hashtbl.remove ctx.globals name
+let remove_global ctx name = scope_unbind ctx.globals name
 
 let fuel_used ctx = ctx.fuel_used
 
@@ -87,7 +87,7 @@ let lookup env name =
 
 let declare env name v =
   match env.scopes with
-  | scope :: _ -> Hashtbl.replace scope name (ref v)
+  | scope :: _ -> scope_bind scope name v
   | [] -> assert false
 
 (* --- built-in methods on primitive values ------------------------- *)
@@ -474,7 +474,7 @@ and write_lvalue ctx env lv value =
     | Some r -> r := value
     | None ->
       (* Assignment to an undeclared name creates a global, as in JS. *)
-      Hashtbl.replace ctx.globals name (ref value))
+      define_global ctx name value)
   | Ast.Lmember (obj_e, name) -> member_set (eval ctx env obj_e) name value
   | Ast.Lindex (obj_e, idx_e) ->
     let obj = eval ctx env obj_e in

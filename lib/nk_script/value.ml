@@ -389,3 +389,20 @@ let frame_release ctx f =
     ctx.frame_pool.(n) <- f :: ctx.frame_pool.(n);
     ctx.frame_pool_count.(n) <- ctx.frame_pool_count.(n) + 1
   end
+
+(* --- scope bindings ---------------------------------------------------- *)
+
+(* Bumped by every insertion into or removal from a scope table. A
+   compiled global site caches the cell its name resolved to together
+   with the epoch of that lookup ([Compile.global_cell]), so any
+   binding change, in any context, invalidates every cached cell at
+   once. Nothing else may add or remove scope entries. *)
+let scope_epoch = ref 0
+
+let scope_bind (scope : scope) name v =
+  incr scope_epoch;
+  Hashtbl.replace scope name (ref v)
+
+let scope_unbind (scope : scope) name =
+  incr scope_epoch;
+  Hashtbl.remove scope name
