@@ -65,10 +65,12 @@ let value_to_response v =
 let run_handler stage ~this_request ~response handler =
   (* One pipeline at a time inside a stage's context: the Request and
      Response globals are per-request state, and a handler may suspend
-     mid-execution on a sub-fetch. *)
+     mid-execution on a sub-fetch. They are removed on every exit, so no
+     handler ever sees another request's messages. *)
   Stage.acquire stage;
+  let ctx = Stage.context stage in
   let result =
-    let ctx = Stage.context stage in
+    Fun.protect ~finally:(fun () -> Nk_vocab.Http_v.clear_message_globals ctx) @@ fun () ->
     Nk_vocab.Http_v.install_request ctx this_request;
     let sink = Option.map (Nk_vocab.Http_v.install_response ctx) response in
     match Nk_script.Interp.apply ctx handler [] with

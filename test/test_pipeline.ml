@@ -86,6 +86,29 @@ p.register();
   Alcotest.(check bool) "origin still fetched" true (outcome.source = From_origin);
   Alcotest.(check bool) "fuel charged" true (outcome.fuel > 0)
 
+let test_response_does_not_leak_into_next_request () =
+  (* The first request's onResponse sees a Response; the second
+     request's onRequest, in the same stage context, must not. *)
+  let table =
+    [ ( "http://site.org/nakika.js",
+        {|
+var p = new Policy();
+p.url = ["site.org"];
+p.onRequest = function() {
+  try { seen = "stale " + Response.contentType; } catch (e) { seen = "undefined"; }
+}
+p.onResponse = function() { }
+p.register();
+|} ) ]
+  in
+  let load = loader table in
+  let run () = ignore (execute ~load_stage:load ~fetch:origin_fetch (req "http://site.org/x")) in
+  run ();
+  run ();
+  let ctx = Stage.context (Option.get (load "http://site.org/nakika.js")) in
+  Alcotest.(check (option string)) "second onRequest finds no Response" (Some "undefined")
+    (Option.map Core.Script.Value.to_string (Core.Script.Interp.get_global ctx "seen"))
+
 let test_pipeline_on_request_responds () =
   (* An onRequest handler that creates the response short-circuits the
      origin fetch (§3.1: "more efficient if responses are created from
@@ -472,4 +495,6 @@ let suite =
       test_run_handler_return_value_response;
     Alcotest.test_case "returned response objects carry headers" `Quick
       test_run_handler_return_value_headers;
+    Alcotest.test_case "pipeline: Response does not leak into the next request" `Quick
+      test_response_does_not_leak_into_next_request;
   ]
