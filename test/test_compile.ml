@@ -47,16 +47,20 @@ let max_fuel = 20_000
 
 let max_heap = 256_000
 
-let run_with runner input =
+let fresh_ctx () =
   let ctx = Interp.create ~max_fuel ~max_heap_bytes:max_heap () in
   Builtins.install ctx;
-  let result =
-    match runner ctx input with
-    | v -> Ok (dump 0 v)
-    | exception Value.Script_error m -> Error ("script error: " ^ m)
-    | exception Interp.Resource_exhausted m -> Error ("exhausted: " ^ m)
-  in
-  observe_ctx ctx result
+  ctx
+
+let result_of f =
+  match f () with
+  | v -> Ok (dump 0 v)
+  | exception Value.Script_error m -> Error ("script error: " ^ m)
+  | exception Interp.Resource_exhausted m -> Error ("exhausted: " ^ m)
+
+let run_with runner input =
+  let ctx = fresh_ctx () in
+  observe_ctx ctx (result_of (fun () -> runner ctx input))
 
 let show_outcome o =
   Printf.sprintf "%s | fuel=%d heap=%d | %s"
@@ -153,6 +157,86 @@ let corpus =
   ]
 
 let test_corpus () = List.iter (fun (name, src) -> check_differential name src) corpus
+
+(* --- global-cell invalidation ------------------------------------------ *)
+
+(* Each compiled global site caches the cell its name last resolved to.
+   These arms replay one source several times — the compiled side
+   reuses a single [Compile.program], so the site caches survive from
+   run to run — around the binding changes that must invalidate them.
+   [play run] drives a scenario with one runner and renders every
+   outcome, fuel and heap included; both evaluators must render the
+   same transcript. *)
+let check_replay name source play =
+  let ast = Parser.parse source in
+  let compiled = Compile.compile ast in
+  Alcotest.(check (list string)) name
+    (play (fun ctx -> Interp.run ctx ast))
+    (play (fun ctx -> Compile.run ctx compiled))
+
+let outcome run ctx = show_outcome (observe_ctx ctx (result_of (fun () -> run ctx)))
+
+let num_v n = Value.Vnum (float_of_int n)
+
+let test_invalidate_define_remove () =
+  (* The per-request Request/Response churn: the host rebinds and
+     unbinds a global the program reads, between runs on one context. *)
+  check_replay "define/remove between runs"
+    (* no declarations: after the first run the program itself inserts
+       nothing, so only the host's changes can invalidate *)
+    "t = 0; i = 0; while (i < 4) { t = t + a; i = i + 1; } b = t; t"
+    (fun run ->
+      let ctx = fresh_ctx () in
+      Interp.define_global ctx "a" (num_v 1);
+      let r1 = outcome run ctx in
+      Interp.define_global ctx "a" (num_v 7);
+      let r2 = outcome run ctx in
+      Interp.remove_global ctx "a";
+      let r3 = outcome run ctx in
+      Interp.define_global ctx "a" (num_v 3);
+      let r4 = outcome run ctx in
+      [ r1; r2; r3; r4 ])
+
+let test_invalidate_redeclare_in_loop () =
+  (* Each [var x] at top level replaces x's cell mid-loop. *)
+  check_replay "top-level re-declaration inside a loop"
+    "var y = 1; var s = 0; for (var i = 0; i < 6; i++) { var x = i * 2; s = s + x + y; y = x; x++; s += x; } s"
+    (fun run ->
+      let ctx = fresh_ctx () in
+      [ outcome run ctx; outcome run ctx ])
+
+let test_invalidate_table_identity () =
+  (* No binding changes between the runs: only the table differs, so a
+     cache that ignored table identity would read the other context. *)
+  check_replay "alternating contexts" "b = b + a; c = b * a; b"
+    (fun run ->
+      let mk a =
+        let ctx = fresh_ctx () in
+        Interp.define_global ctx "a" (num_v a);
+        Interp.define_global ctx "b" (num_v 0);
+        Interp.define_global ctx "c" (num_v 0);
+        ctx
+      in
+      let ca = mk 1 and cb = mk 100 in
+      List.map (fun ctx -> outcome run ctx) [ ca; cb; ca; cb ])
+
+let test_invalidate_cross_context_closure () =
+  (* [f]'s lexical globals are A's table; called from B, its assignment
+     creates [w] in B while its read still resolves in A. *)
+  check_replay "function from A called in B"
+    {|function f() { w = 5; try { return w; } catch (e) { return "missing: " + e; } }|}
+    (fun run ->
+      let ca = fresh_ctx () and cb = fresh_ctx () in
+      ignore (outcome run ca);
+      let f = Option.get (Interp.get_global ca "f") in
+      let call ctx =
+        let w c = match Interp.get_global c "w" with Some v -> dump 0 v | None -> "?" in
+        let r = result_of (fun () -> Interp.apply ctx f []) in
+        Printf.sprintf "%s | A: fuel=%d w=%s | B: fuel=%d w=%s"
+          (match r with Ok v -> v | Error e -> e)
+          (Interp.fuel_used ca) (w ca) (Interp.fuel_used cb) (w cb)
+      in
+      List.map call [ cb; cb; ca; cb ])
 
 (* --- random programs --------------------------------------------------- *)
 
@@ -286,6 +370,17 @@ let gen_stmt =
                  map2 (fun b h -> mks (Ast.Stry (b, "e", h))) block block;
                  map (fun e -> mks (Ast.Sthrow e)) expr_g;
                  map (fun b -> mks (Ast.Sblock b)) block;
+                 (* re-declaration inside a loop: at top level every
+                    iteration replaces the global's cell *)
+                 map2
+                   (fun (v, e) body ->
+                     mks
+                       (Ast.Sfor
+                          ( Some (mks (Ast.Svar [ ("i", Some (num 0)) ])),
+                            Some (mke (Ast.Binop (Ast.Lt, mke (Ast.Ident "i"), num 3))),
+                            Some (mke (Ast.Incr (false, Ast.Lident "i"))),
+                            mks (Ast.Svar [ (v, Some e) ]) :: body )))
+                   (pair gen_var expr_g) block;
                  map (fun e -> mks (Ast.Sreturn (Some e))) expr_g;
                  map2
                    (fun fname body ->
@@ -559,6 +654,14 @@ let suite =
   [
     Alcotest.test_case "fixed corpus: compiled = tree-walker" `Quick test_corpus;
     QCheck_alcotest.to_alcotest differential_prop;
+    Alcotest.test_case "global cells: define/remove between runs" `Quick
+      test_invalidate_define_remove;
+    Alcotest.test_case "global cells: re-declaration inside a loop" `Quick
+      test_invalidate_redeclare_in_loop;
+    Alcotest.test_case "global cells: keyed on table identity" `Quick
+      test_invalidate_table_identity;
+    Alcotest.test_case "global cells: closure called from another context" `Quick
+      test_invalidate_cross_context_closure;
     Alcotest.test_case "program cache: one compile per distinct body" `Quick test_cache_hits;
     Alcotest.test_case "program cache: stages share compilations" `Quick
       test_stage_sharing_reports_hit;
