@@ -94,6 +94,18 @@ let tw_ctx = fresh_ctx ()
 
 let cp_ctx = fresh_ctx ()
 
+(* L1: top-level code, where every variable is a global — SPECweb's
+   per-page compute loop run as the cached program an NKP stage reuses,
+   so each read and write goes through a compiled site's global cell. *)
+let globals_prog =
+  Core.Script.Compile.compile (Core.Script.Parser.parse Core.Workload.Specweb.dynamic_work)
+
+let gl_ctx = fresh_ctx ()
+
+let run_globals () =
+  Core.Script.Interp.reset_usage gl_ctx;
+  Core.Script.Compile.run gl_ctx globals_prog
+
 (* Named so the regression guard can re-run exactly these two. *)
 let test_cached_execute =
   Test.make ~name:"C1: cached execute (compiled)"
@@ -199,6 +211,8 @@ let tests =
              Core.Script.Interp.reset_usage tw_ctx;
              ignore (Core.Script.Interp.run tw_ctx workload_ast)));
       test_cached_execute;
+      Test.make ~name:"L1: top-level globals (SPECweb dynamic_work)"
+        (Staged.stage (fun () -> ignore (run_globals ())));
       Test.make ~name:"C1: first execute (parse+compile+run)"
         (Staged.stage (fun () ->
              ignore
@@ -289,6 +303,7 @@ let words_rows () =
       Harness.words_per_op (fun () ->
           Core.Script.Interp.reset_usage tw_ctx;
           Core.Script.Interp.run tw_ctx workload_ast) );
+    ("L1: top-level globals (SPECweb dynamic_work)", Harness.words_per_op run_globals);
     ( "F7: parse+render lecture XML",
       Harness.words_per_op (fun () ->
           Core.Vocab.Xml.to_html Core.Workload.Simm.stylesheet

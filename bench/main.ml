@@ -11,7 +11,11 @@
    "micro-guard" is special: it re-measures the fast-path micro rows
    against the committed BENCH_micro.json and exits non-zero on a >25%
    regression (NAKIKA_BENCH_GUARD_SKIP=1 bypasses). It runs outside the
-   experiment registry so it never rewrites a BENCH_*.json. *)
+   experiment registry so it never rewrites a BENCH_*.json.
+
+   NAKIKA_PROFILE=1 turns on the SIGPROF sampler ([Sampler]): the top
+   self and inclusive functions are printed after the CPU-seconds
+   profile. *)
 
 let experiments =
   [
@@ -46,10 +50,12 @@ let run_experiment name run =
 
 let print_profile () =
   Printf.printf "\n=== Bench profile (process CPU seconds) ===\n%s"
-    (Core.Telemetry.Profile.to_table profile)
+    (Core.Telemetry.Profile.to_table profile);
+  Sampler.report ()
 
 let () =
   let requested = List.tl (Array.to_list Sys.argv) in
+  Sampler.start ();
   (match requested with
    | [] ->
      print_endline "Na Kika reproduction: full benchmark suite";

@@ -20,6 +20,11 @@ val users : int
 
 val static_files : int
 
+val dynamic_work : string
+(** The top-level NKScript compute loop both Na Kika pages run, the
+    stand-in for SPECweb99's per-request ad rotation and custom-GET
+    work. *)
+
 val install_origin : Nk_node.Origin.t -> unit
 (** Install both variants: [/cgi/...] dynamic handlers (PHP mode),
     [/nkp/...] page sources and [/nakika.js] (Na Kika mode), and the
