@@ -65,12 +65,13 @@ let value_to_response v =
 let run_handler stage ~this_request ~response handler =
   (* One pipeline at a time inside a stage's context: the Request and
      Response globals are per-request state, and a handler may suspend
-     mid-execution on a sub-fetch. They are removed on every exit, so no
-     handler ever sees another request's messages. *)
+     mid-execution on a sub-fetch. They are removed before the stage is
+     released, so no handler ever sees another request's messages (an
+     exception escaping the match below never releases the stage, so
+     no later handler runs in this context at all). *)
   Stage.acquire stage;
   let ctx = Stage.context stage in
   let result =
-    Fun.protect ~finally:(fun () -> Nk_vocab.Http_v.clear_message_globals ctx) @@ fun () ->
     Nk_vocab.Http_v.install_request ctx this_request;
     let sink = Option.map (Nk_vocab.Http_v.install_response ctx) response in
     match Nk_script.Interp.apply ctx handler [] with
@@ -84,6 +85,7 @@ let run_handler stage ~this_request ~response handler =
     | exception Nk_script.Interp.Resource_exhausted msg -> Error (Resources msg)
     | exception Nk_script.Interp.Terminated -> Error Killed
   in
+  Nk_vocab.Http_v.clear_message_globals ctx;
   Stage.release stage;
   result
 
