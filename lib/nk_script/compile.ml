@@ -32,7 +32,8 @@
    Slots therefore start as a sentinel; a reference probes its static
    candidate slots innermost-first and falls through to the enclosing
    bindings — in practice a single array load and one physical-equality
-   check — with true globals resolved in the defining context's table. *)
+   check — with true globals resolved in the defining context's table
+   through the site's cached cell ([gsite]). *)
 
 open Value
 module I = Interp

@@ -396,7 +396,9 @@ let frame_release ctx f =
    compiled global site caches the cell its name resolved to together
    with the epoch of that lookup ([Compile.global_cell]), so any
    binding change, in any context, invalidates every cached cell at
-   once. Nothing else may add or remove scope entries. *)
+   once. Nothing else may add or remove entries of a scope that code
+   can already see; only the tree-walker fills a fresh call frame's
+   parameters directly. *)
 let scope_epoch = ref 0
 
 let scope_bind (scope : scope) name v =
