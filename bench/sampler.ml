@@ -9,8 +9,9 @@
    hundred samples per CPU-second rather than a thousand.
 
    Caveat: OCaml 5 runs signal handlers at poll points — allocations,
-   function entries and loop back-edges — so a sample lands on the nearest such
-   point after the timer fires, not on the interrupted instruction.
+   function entries and loop back-edges — so a sample lands on the
+   nearest such point after the timer fires, not on the interrupted
+   instruction.
    Short non-allocating leaf functions are charged to their callers.
    Names come from debug info; frames without it are skipped. *)
 
