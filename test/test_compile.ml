@@ -654,14 +654,6 @@ let suite =
   [
     Alcotest.test_case "fixed corpus: compiled = tree-walker" `Quick test_corpus;
     QCheck_alcotest.to_alcotest differential_prop;
-    Alcotest.test_case "global cells: define/remove between runs" `Quick
-      test_invalidate_define_remove;
-    Alcotest.test_case "global cells: re-declaration inside a loop" `Quick
-      test_invalidate_redeclare_in_loop;
-    Alcotest.test_case "global cells: keyed on table identity" `Quick
-      test_invalidate_table_identity;
-    Alcotest.test_case "global cells: closure called from another context" `Quick
-      test_invalidate_cross_context_closure;
     Alcotest.test_case "program cache: one compile per distinct body" `Quick test_cache_hits;
     Alcotest.test_case "program cache: stages share compilations" `Quick
       test_stage_sharing_reports_hit;
@@ -678,4 +670,12 @@ let suite =
       test_registry_preload_and_hash_resolution;
     Alcotest.test_case "registry: disabled by default and inert" `Quick
       test_registry_disabled_is_inert;
+    Alcotest.test_case "global cells: define/remove between runs" `Quick
+      test_invalidate_define_remove;
+    Alcotest.test_case "global cells: re-declaration inside a loop" `Quick
+      test_invalidate_redeclare_in_loop;
+    Alcotest.test_case "global cells: keyed on table identity" `Quick
+      test_invalidate_table_identity;
+    Alcotest.test_case "global cells: closure called from another context" `Quick
+      test_invalidate_cross_context_closure;
   ]
