@@ -408,7 +408,10 @@ let resolve (cenv : cenv) name =
    same table, same epoch — is exactly the cell a fresh [Hashtbl] probe
    would return, and a read or write is one compare pair and a
    dereference. [no_cell] holds [undeclared] and is never written, so
-   [!(global_cell g rt)] is [undeclared] for an unbound name. *)
+   [!(global_cell g rt)] is [undeclared] for an unbound name. Sites
+   live as long as their cached program, so [table] keeps the last
+   resolving context's globals reachable until a successful miss in
+   another context replaces it (DESIGN.md §11, "Global cells"). *)
 type gsite = {
   gname : string;
   mutable table : Value.scope;
