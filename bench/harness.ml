@@ -29,12 +29,11 @@ let attach_run cluster nodes =
   Option.iter (fun into -> Core.Telemetry.Metrics.merge ~into net) (registry ())
 
 (* Experiments in one process must not see each other's compiled
-   programs: the process-wide compile cache and program-registry
-   counters start empty, so every BENCH file is the same whether its
-   experiment ran alone or after others. *)
+   programs: the process-wide compile cache starts empty, so every
+   BENCH file is the same whether its experiment ran alone or after
+   others. *)
 let begin_experiment id =
   Core.Script.Compile.cache_clear ();
-  Core.Script.Registry.reset_stats ();
   current_experiment :=
     Some { id; registry = Core.Telemetry.Metrics.create (); nodes = [] }
 

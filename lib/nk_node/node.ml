@@ -1308,14 +1308,8 @@ let resolve_offload_stage t (env : Nk_diffusion.Offload.request_envelope) =
   (* Every cached stage carries its (non-empty) hash. *)
   | _, Some known when known <> "" -> ()
   | hash, _ -> (
-    let registry_hits_before = (Nk_script.Registry.stats ()).Nk_script.Registry.hits in
     match Nk_script.Compile.find_cached_by_hash hash with
     | Some program ->
-      (* [find_cached_by_hash] falls through to the persistent registry:
-         if its hit counter moved, this program was rescued from disk
-         rather than found in memory — an origin fetch avoided. *)
-      if (Nk_script.Registry.stats ()).Nk_script.Registry.hits > registry_hits_before
-      then Nk_telemetry.Metrics.incr t.metrics "diffusion.registry_rescues";
       (* Installed straight from the compiled program: no source, no
          parse, no lint (the node that compiled it linted it). *)
       ignore
@@ -1532,17 +1526,6 @@ let create ~web ~host ?dht ?bus ?(config = Config.default) () =
     invalid_arg
       (Printf.sprintf "Node.create %s: invalid config: %s" node_name
          (String.concat "; " problems)));
-  (* The registry is process-wide (like the compile cache it extends);
-     a node configured with a directory enables it, a node with the
-     default [None] leaves whatever is already configured alone. *)
-  (match config.Config.program_registry_dir with
-  | Some dir ->
-    Nk_script.Registry.set_dir (Some dir);
-    let loaded = Nk_script.Compile.preload_registry () in
-    if loaded > 0 then
-      Logs.debug (fun m ->
-          m "[%s] program registry: preloaded %d compiled program(s)" node_name loaded)
-  | None -> ());
   let diffusion =
     match bus with
     | Some b when config.Config.enable_diffusion ->

@@ -1419,16 +1419,7 @@ let find_cached_by_hash hash =
   | Some entry ->
     touch entry;
     Some entry.program
-  | None -> (
-    (* Disk fallthrough: a diffusion peer naming a program by hash can
-       be served from the persistent registry even if this process
-       never saw the source (or the LRU dropped it). *)
-    match Registry.load ~hash with
-    | Some ast ->
-      let p = compile ast in
-      cache_insert hash p;
-      Some p
-    | None -> None)
+  | None -> None
 
 let get_program ?on_cache source =
   let key = Nk_crypto.Sha256.digest source in
@@ -1441,36 +1432,9 @@ let get_program ?on_cache source =
   | None ->
     incr cache_misses;
     (match on_cache with Some f -> f `Miss | None -> ());
-    (* Warm start: a registry hit replaces the parse (the dominant cost
-       of a first execution) with an unmarshal + compile. A miss parses
-       and then persists the AST for the next process. Either way the
-       callback reported [`Miss] above — the registry is a parse
-       bypass, not a cache hit; [Registry.stats] accounts it. *)
-    let p =
-      match Registry.load ~hash:key with
-      | Some ast -> compile ast
-      | None ->
-        let ast = Parser.parse source in
-        Registry.store ~hash:key ast;
-        compile ast
-    in
+    let p = compile (Parser.parse source) in
     cache_insert key p;
     p
 
 let run_string ?on_cache ctx source = run ctx (get_program ?on_cache source)
 
-(* Node start: pull every valid registry entry into the in-memory cache
-   so the first request for a known site pays a cache hit, not a disk
-   read — let alone a parse. Invalid entries are skipped (and counted
-   by [Registry.stats]); an over-full registry just cycles the LRU. *)
-let preload_registry () =
-  List.fold_left
-    (fun loaded hash ->
-      if Hashtbl.mem cache hash then loaded
-      else
-        match Registry.load ~hash with
-        | Some ast ->
-          cache_insert hash (compile ast);
-          loaded + 1
-        | None -> loaded)
-    0 (Registry.entries ())

@@ -36,13 +36,7 @@ val get_program : ?on_cache:([ `Hit | `Miss ] -> unit) -> string -> program
     [`Miss] that then fails to parse is still reported (the caller
     negative-caches failing sources). Raises [Parser.Parse_error] /
     [Lexer.Lex_error] on a miss for invalid sources; failures are not
-    cached.
-
-    When the persistent {!Registry} is enabled, a memory miss consults
-    it before parsing: a valid entry skips the parser entirely (still
-    reported as [`Miss] — the registry is a parse bypass, accounted by
-    {!Registry.stats}); a full miss parses and then persists the AST
-    for future processes. *)
+    cached. *)
 
 val run_string : ?on_cache:([ `Hit | `Miss ] -> unit) -> Interp.ctx -> string -> Value.t
 (** [run] ∘ [get_program]: the production entry point used by stages,
@@ -63,17 +57,11 @@ val set_cache_capacity : int -> unit
     (e.g. diffusion hash-miss traffic) cannot grow the table without
     bound or flush the hot wall scripts. *)
 
-val preload_registry : unit -> int
-(** Compile every valid persistent-{!Registry} entry into the in-memory
-    cache (skipping hashes already cached). Returns the number loaded.
-    No-op (0) when the registry is disabled. Called at node start so
-    known sites' first requests never touch disk or the parser. *)
-
 val find_cached_by_hash : string -> program option
 (** Resolve an already-known SHA-256 digest (as produced by
     {!Nk_crypto.Sha256.digest}) against the cache without having the
     source — the diffusion receiver's lookup when an offload envelope
     names a program by hash. Counts as an LRU touch but not as a
-    hit/miss (the caller accounts hash misses itself). Falls through to
-    the persistent {!Registry} when enabled, so a peer-named program
-    can be resolved without the source even across restarts. *)
+    hit/miss (the caller accounts hash misses itself). Memory only: a
+    program this process never compiled, or one the LRU dropped, is a
+    miss. *)
