@@ -403,11 +403,13 @@ let resolve (cenv : cenv) name =
 (* --- global cells ------------------------------------------------------ *)
 
 (* One-entry inline cache per compiled global site: the cell [name] was
-   bound to in [table] when [Value.scope_epoch] was [epoch]. Every
-   insertion into or removal from any scope bumps the epoch, so a hit —
-   same table, same epoch — is exactly the cell a fresh [Hashtbl] probe
-   would return, and a read or write is one compare pair and a
-   dereference. [no_cell] holds [undeclared] and is never written, so
+   bound to in [table]. Cells are stable while bound and tombstoned
+   with [undeclared] on unbind ([Value.scope_bind]/[scope_unbind]), and
+   compiled globals look in one table, so a newly bound name cannot
+   shadow a cached cell. A hit — same table, cell not tombstoned — is
+   therefore exactly the cell a fresh [Hashtbl] probe would return, and
+   a read or write is one physical compare pair and a dereference.
+   [no_cell] holds [undeclared] and is never written, so
    [!(global_cell g rt)] is [undeclared] for an unbound name. Sites
    live as long as their cached program, so [table] keeps the last
    resolving context's globals reachable until a successful miss in
@@ -415,7 +417,6 @@ let resolve (cenv : cenv) name =
 type gsite = {
   gname : string;
   mutable table : Value.scope;
-  mutable epoch : int;
   mutable cell : Value.t ref;
 }
 
@@ -423,19 +424,18 @@ let no_cell = ref undeclared
 
 let no_table : Value.scope = Hashtbl.create 1
 
-let gsite name = { gname = name; table = no_table; epoch = -1; cell = no_cell }
+let gsite name = { gname = name; table = no_table; cell = no_cell }
 
 let global_miss g rt =
   match Hashtbl.find rt.globals g.gname with
   | r ->
     g.table <- rt.globals;
-    g.epoch <- !Value.scope_epoch;
     g.cell <- r;
     r
   | exception Not_found -> no_cell
 
 let[@inline] global_cell g rt =
-  if g.table == rt.globals && g.epoch = !Value.scope_epoch then g.cell else global_miss g rt
+  if g.table == rt.globals && !(g.cell) != undeclared then g.cell else global_miss g rt
 
 (* The value bound to [g]'s name, or [missing g] when it is unbound. *)
 let[@inline] read_global g rt missing =

@@ -3,8 +3,9 @@
     Lowers a parsed program once into OCaml closures with variables
     resolved to lexical slot addresses (frame arrays indexed at compile
     time). True globals go through a one-entry cache at each compiled
-    site, which holds the cell the name last resolved to and is
-    invalidated by {!Value.scope_epoch}; a hit probes no table. Plus a
+    site, which holds the cell the name last resolved to; cells are
+    stable while bound and tombstoned on unbind, so a hit probes no
+    table. Plus a
     process-wide compiled-program cache keyed by SHA-256 of the script
     body — each distinct script (client wall, site script, server wall)
     is parsed and compiled once per process no matter how many stages

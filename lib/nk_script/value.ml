@@ -392,19 +392,22 @@ let frame_release ctx f =
 
 (* --- scope bindings ---------------------------------------------------- *)
 
-(* Bumped by every insertion into or removal from a scope table. A
-   compiled global site caches the cell its name resolved to together
-   with the epoch of that lookup ([Compile.global_cell]), so any
-   binding change, in any context, invalidates every cached cell at
-   once. Nothing else may add or remove entries of a scope that code
-   can already see; only the tree-walker fills a fresh call frame's
-   parameters directly. *)
-let scope_epoch = ref 0
-
+(* A name's cell is stable for as long as it is bound: binding an
+   already-bound name assigns its existing ref, and unbinding first
+   tombstones the ref with [undeclared]. A compiled global site caches
+   the cell its name resolved to ([Compile.global_cell]), so a cached
+   cell that still holds a value is exactly what a fresh probe would
+   return. Nothing else may replace or remove entries of a scope that
+   code can already see; only the tree-walker fills a fresh call
+   frame's parameters directly. *)
 let scope_bind (scope : scope) name v =
-  incr scope_epoch;
-  Hashtbl.replace scope name (ref v)
+  match Hashtbl.find scope name with
+  | r -> r := v
+  | exception Not_found -> Hashtbl.add scope name (ref v)
 
 let scope_unbind (scope : scope) name =
-  incr scope_epoch;
-  Hashtbl.remove scope name
+  match Hashtbl.find scope name with
+  | r ->
+    r := undeclared;
+    Hashtbl.remove scope name
+  | exception Not_found -> ()

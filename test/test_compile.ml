@@ -195,7 +195,12 @@ let test_invalidate_define_remove () =
       let r3 = outcome run ctx in
       Interp.define_global ctx "a" (num_v 3);
       let r4 = outcome run ctx in
-      [ r1; r2; r3; r4 ])
+      (* Write after remove: [b = t]'s site holds b's tombstoned cell;
+         the assignment must create a fresh binding that [get_global]
+         (in the rendered outcome) sees. *)
+      Interp.remove_global ctx "b";
+      let r5 = outcome run ctx in
+      [ r1; r2; r3; r4; r5 ])
 
 let test_invalidate_redeclare_in_loop () =
   (* Each [var x] at top level replaces x's cell mid-loop. *)
