@@ -8,8 +8,6 @@ let parse s =
            | Some (k, v) -> Some (String.trim k, String.trim v)
            | None -> Some (part, ""))
 
-let to_header pairs = String.concat "; " (List.map (fun (k, v) -> k ^ "=" ^ v) pairs)
-
 let set_cookie ?path ?max_age ?(http_only = false) ~name ~value () =
   let buf = Buffer.create 32 in
   Buffer.add_string buf (name ^ "=" ^ value);

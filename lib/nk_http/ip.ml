@@ -23,7 +23,6 @@ let to_string t =
   Printf.sprintf "%d.%d.%d.%d" (b 24) (b 16) (b 8) (b 0)
 
 let of_int32 x = x
-let to_int32 x = x
 let equal = Int32.equal
 
 type cidr = { base : int32; bits : int }
@@ -45,8 +44,6 @@ let mask bits =
 let cidr_contains { base; bits } addr =
   let m = mask bits in
   Int32.logand base m = Int32.logand addr m
-
-let cidr_to_string { base; bits } = Printf.sprintf "%s/%d" (to_string base) bits
 
 type client = { ip : t; hostname : string option }
 

@@ -14,8 +14,6 @@ val to_string : t -> string
 
 val of_int32 : int32 -> t
 
-val to_int32 : t -> int32
-
 val equal : t -> t -> bool
 
 type cidr
@@ -25,8 +23,6 @@ val cidr_of_string : string -> (cidr, string) result
 (** A bare address parses as a /32 block. *)
 
 val cidr_contains : cidr -> t -> bool
-
-val cidr_to_string : cidr -> string
 
 type client = { ip : t; hostname : string option }
 (** What a predicate sees about a client: the address plus the reverse

@@ -35,13 +35,5 @@ let is_server_error c = c >= 500 && c < 600
 
 let ok = 200
 let not_modified = 304
-let moved_permanently = 301
 let found = 302
-let bad_request = 400
-let unauthorized = 401
 let forbidden = 403
-let not_found = 404
-let request_timeout = 408
-let internal_server_error = 500
-let service_unavailable = 503
-let gateway_timeout = 504

@@ -12,13 +12,5 @@ val is_server_error : t -> bool
 
 val ok : t
 val not_modified : t
-val moved_permanently : t
 val found : t
-val bad_request : t
-val unauthorized : t
 val forbidden : t
-val not_found : t
-val request_timeout : t
-val internal_server_error : t
-val service_unavailable : t
-val gateway_timeout : t

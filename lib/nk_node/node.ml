@@ -227,14 +227,6 @@ let observe_neighbor t ~name:peer ~pressure ~incarnation ~distance =
       Nk_diffusion.Neighbors.observe d.neighbors ~name:peer ~incarnation ~pressure
         ~distance ~now:(now t)
 
-let neighbor_pressures t =
-  match t.diffusion with
-  | None -> []
-  | Some d ->
-    List.map
-      (fun (i : Nk_diffusion.Neighbors.info) -> (i.Nk_diffusion.Neighbors.name, i.pressure))
-      (Nk_diffusion.Neighbors.all d.neighbors)
-
 let retry_after_response ?(status = 503) seconds =
   let resp = Nk_http.Message.error_response status in
   Nk_http.Message.set_resp_header resp "Retry-After"
@@ -944,13 +936,6 @@ and load_stage t ?span url =
           Result.to_option
             (install_stage t ?span:sp ~resp ~url ~site:(site_of_stage_url url) (`Source source))
         end)
-
-let warm_stage t ~url ~site ~source =
-  match install_stage t ~url ~site (`Source source) with
-  | Ok _ -> ()
-  | Error msg -> invalid_arg (Printf.sprintf "warm_stage %s: %s" url msg)
-
-let invalidate_stage t ~url = Nk_cache.Memo_cache.remove t.stage_cache url
 
 (* --- request processing ---------------------------------------------- *)
 

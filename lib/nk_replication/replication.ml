@@ -14,7 +14,6 @@ type node = {
   resolve : (key:string -> current:string option -> proposed:string -> string) option;
   versions : (string, version) Hashtbl.t;
   mutable clock : int;
-  mutable applied : int;
 }
 
 let tombstone = "\x00__deleted__"
@@ -69,10 +68,7 @@ let apply_local t ~version ~key ~value =
       | _ -> value
     in
     let ok = Store.put t.store ~site:t.site ~key value in
-    if ok then begin
-      Hashtbl.replace t.versions key version;
-      t.applied <- t.applied + 1
-    end;
+    if ok then Hashtbl.replace t.versions key version;
     ok
   end
 
@@ -110,7 +106,6 @@ let attach ~bus ~name ~host ~store ?resolve ~site strategy =
       resolve;
       versions = Hashtbl.create 32;
       clock = 0;
-      applied = 0;
     }
   in
   Message_bus.attach bus ~name ~host;
@@ -155,8 +150,6 @@ let keys t ~prefix =
   |> List.filter (fun k -> Store.get t.store ~site:t.site ~key:k <> Some tombstone)
 
 let name t = t.node_name
-
-let applied_updates t = t.applied
 
 (* Anti-entropy: periodically re-broadcast every key this replica knows,
    at its current version. Receivers that already have the version drop
