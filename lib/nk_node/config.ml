@@ -449,4 +449,10 @@ let validate t =
     (fun (pattern, heap) ->
       if heap <= 0 then reject "site_heap[%s]: heap cap must be positive (got %d)" pattern heap)
     t.site_heap;
+  List.iter
+    (fun block ->
+      match Nk_http.Ip.cidr_of_string block with
+      | Ok _ -> ()
+      | Error e -> reject "local_clients: %s" e)
+    t.local_clients;
   List.rev !problems

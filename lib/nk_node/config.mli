@@ -228,8 +228,9 @@ val validate : t -> string list
     inverted orderings ([diffusion_low_water >= diffusion_high_water],
     [breaker_cooldown > breaker_max_cooldown],
     [termination_penalty > quarantine_max]), non-positive capacities,
-    negative timeouts, and per-site share tables that oversubscribe or
-    round to zero slots. [[]] means the config is accepted.
+    negative timeouts, per-site share tables that oversubscribe or
+    round to zero slots, and [local_clients] entries that are not CIDR
+    blocks. [[]] means the config is accepted.
     {!Node.create} refuses configs with findings, and the provisioning
     compiler ([Nk_provision]) runs the same checks over every config it
     lowers — verification and rejection share one core. The scalar

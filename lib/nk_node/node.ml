@@ -1603,8 +1603,9 @@ let create ~web ~host ?dht ?bus ?(config = Config.default) () =
       active_span = None;
       active_deadline = None;
       local_cidrs =
-        List.filter_map
-          (fun s -> Result.to_option (Nk_http.Ip.cidr_of_string s))
+        (* [Config.validate] above rejected every entry that fails to parse. *)
+        List.map
+          (fun s -> Result.get_ok (Nk_http.Ip.cidr_of_string s))
           config.Config.local_clients;
       in_flight = (0, 0);
     }

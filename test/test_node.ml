@@ -754,7 +754,12 @@ let test_config_rejects_bad_site_tables () =
     "site_quarantine";
   expect_rejected "non-positive site fuel"
     { Config.default with Config.site_fuel = [ ("a.example", 0) ] }
-    "site_fuel"
+    "site_fuel";
+  (* A malformed block used to be dropped silently, leaving every
+     client in it non-local for System.isLocal. *)
+  expect_rejected "unparsable local_clients block"
+    { Config.default with Config.local_clients = [ "10.0.0.0/33" ] }
+    "local_clients"
 
 let test_valid_config_still_accepted () =
   (* The validator must not reject the documented sentinel values. *)
@@ -986,6 +991,32 @@ let test_config_rejects_bad_tail_knobs () =
     { Config.default with Config.retry_budget_ratio = 1.5 }
     "retry_budget_ratio"
 
+(* [System.isLocal] on a real node: the proxy's [local_clients] blocks
+   decide it, per request, from [Request.clientIP]. *)
+let test_system_is_local () =
+  let cluster = Cluster.create () in
+  let origin = basic_site cluster in
+  Origin.set_static origin ~path:"/nakika.js" ~content_type:"text/javascript" ~max_age:300
+    {|
+var p = new Policy();
+p.url = ["www.example.edu/local"];
+p.onRequest = function() {
+  Request.respond(200, "text/plain", "local=" + System.isLocal(Request.clientIP));
+}
+p.register();
+|};
+  let config = { Config.default with Config.local_clients = [ "10.0.0.0/8" ] } in
+  let proxy = Cluster.add_proxy cluster ~name:"nk1.nakika.net" ~config () in
+  let client = Cluster.add_client cluster ~name:"c1" in
+  let ask ip =
+    let client_ip = { Ip.ip = Ip.of_string_exn ip; hostname = None } in
+    body
+      (fetch_sync cluster ~client ~proxy
+         (Message.request ~client:client_ip "http://www.example.edu/local"))
+  in
+  Alcotest.(check string) "inside 10.0.0.0/8" "local=true" (ask "10.1.2.3");
+  Alcotest.(check string) "outside every block" "local=false" (ask "8.8.8.8")
+
 let suite =
   [
     Alcotest.test_case "proxying a static page" `Quick test_plain_proxying;
@@ -1066,4 +1097,5 @@ let suite =
       test_config_rejects_bad_tail_knobs;
     Alcotest.test_case "bandwidth congestion alone throttles" `Quick
       test_bandwidth_congestion_throttles;
+    Alcotest.test_case "System.isLocal follows local_clients" `Quick test_system_is_local;
   ]
