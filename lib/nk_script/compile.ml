@@ -1437,4 +1437,3 @@ let get_program ?on_cache source =
     p
 
 let run_string ?on_cache ctx source = run ctx (get_program ?on_cache source)
-

@@ -755,8 +755,8 @@ let test_config_rejects_bad_site_tables () =
   expect_rejected "non-positive site fuel"
     { Config.default with Config.site_fuel = [ ("a.example", 0) ] }
     "site_fuel";
-  (* A malformed block used to be dropped silently, leaving every
-     client in it non-local for System.isLocal. *)
+  (* Refused, not dropped: a dropped block would make System.isLocal
+     false for every client in it. *)
   expect_rejected "unparsable local_clients block"
     { Config.default with Config.local_clients = [ "10.0.0.0/33" ] }
     "local_clients"
