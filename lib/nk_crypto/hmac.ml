@@ -15,13 +15,12 @@ let mac ~key msg =
 
 let mac_hex ~key msg = Sha256.hex (mac ~key msg)
 
-let verify ~key ~msg ~mac:expected =
-  let actual = mac ~key msg in
-  if String.length actual <> String.length expected then false
+let equal a b =
+  if String.length a <> String.length b then false
   else begin
     let diff = ref 0 in
-    String.iteri
-      (fun i c -> diff := !diff lor (Char.code c lxor Char.code expected.[i]))
-      actual;
+    String.iteri (fun i c -> diff := !diff lor (Char.code c lxor Char.code b.[i])) a;
     !diff = 0
   end
+
+let verify ~key ~msg ~mac:expected = equal (mac ~key msg) expected

@@ -9,5 +9,10 @@ val mac : key:string -> string -> string
 
 val mac_hex : key:string -> string -> string
 
+val equal : string -> string -> bool
+(** Constant-shape string comparison: the time taken depends on the
+    lengths only, never on where the strings first differ. Use it for
+    any MAC check, raw or hex. *)
+
 val verify : key:string -> msg:string -> mac:string -> bool
 (** Constant-shape comparison of a raw MAC. *)

@@ -59,7 +59,10 @@ let verify ~key ~now resp =
       in
       if actual <> hash then Error Hash_mismatch
       else if
-        Nk_crypto.Hmac.mac_hex ~key (signing_payload ~hash ~expires) <> signature
+        not
+          (Nk_crypto.Hmac.equal
+             (Nk_crypto.Hmac.mac_hex ~key (signing_payload ~hash ~expires))
+             signature)
       then Error Bad_signature
       else begin
         match Nk_http.Http_date.parse expires with

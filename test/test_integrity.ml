@@ -147,6 +147,23 @@ let test_verifier_bad_fraction () =
     (Invalid_argument "Verifier.create: sample_fraction out of [0,1]") (fun () ->
       ignore (Verifier.create ~sample_fraction:1.5 ()))
 
+let test_verify_forged_signatures () =
+  (* Both forgeries fail the constant-shape compare: one differs only in
+     its last hex digit, the other is a prefix of the genuine signature. *)
+  let genuine =
+    Option.get (Message.resp_header (signed_response ~expires_at:1000.0 ()) "X-Signature")
+  in
+  let n = String.length genuine in
+  let flipped = if genuine.[n - 1] = '0' then "1" else "0" in
+  List.iter
+    (fun (what, forged) ->
+      let r = signed_response ~expires_at:1000.0 () in
+      Message.set_resp_header r "X-Signature" forged;
+      Alcotest.(check bool) what true
+        (Integrity.verify ~key:"publisher-key" ~now:500.0 r = Error Integrity.Bad_signature))
+    [ ("same length, last digit wrong", String.sub genuine 0 (n - 1) ^ flipped);
+      ("truncated", String.sub genuine 0 (n / 2)) ]
+
 let suite =
   [
     Alcotest.test_case "sign sets both headers" `Quick test_sign_sets_headers;
@@ -170,4 +187,6 @@ let suite =
     Alcotest.test_case "verifier: persistent tamperer is caught" `Quick
       test_verifier_detection_probability;
     Alcotest.test_case "verifier: rejects bad fraction" `Quick test_verifier_bad_fraction;
+    Alcotest.test_case "forged signatures rejected (constant-shape compare)" `Quick
+      test_verify_forged_signatures;
   ]
