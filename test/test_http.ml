@@ -373,6 +373,51 @@ let codec_roundtrip_prop =
                 headers)
       | Error _ -> false)
 
+(* The simulator charges bandwidth by [*_wire_size], so it must equal
+   the length of the encoding it stands for, byte for byte. *)
+let wire_size_gens =
+  let open QCheck.Gen in
+  let word lo hi = string_size ~gen:(char_range 'a' 'z') (int_range lo hi) in
+  let headers = small_list (pair (word 1 12) (string_size ~gen:printable (int_bound 30))) in
+  let body = map Body.of_chunks (small_list (string_size ~gen:char (int_bound 90))) in
+  let url =
+    map
+      (fun (host, port, path, query) -> Url.make ~port ~query ~host ~path ())
+      (quad (word 1 12)
+         (oneof [ return 80; int_range 1 65535 ])
+         (map (String.concat "/") (small_list (word 0 6)))
+         (small_list (pair (word 1 5) (word 0 5))))
+  in
+  let meth =
+    oneofl Method_.[ GET; HEAD; POST; PUT; DELETE; OPTIONS; TRACE; Other "PROPFIND" ]
+  in
+  let request =
+    map
+      (fun (meth, url, headers, body) ->
+        { Message.meth; url; headers = Headers.of_list headers; body;
+          client = { Ip.ip = Ip.of_int32 0l; hostname = None } })
+      (quad meth url headers body)
+  in
+  let response =
+    map
+      (fun (status, headers, resp_body) ->
+        { Message.status; resp_headers = Headers.of_list headers; resp_body })
+      (triple
+         (oneof [ oneofl [ 200; 206; 304; 404; 503 ]; int_range (-1000) 99; int_range 100 999 ])
+         headers body)
+  in
+  (request, response)
+
+let wire_size_request_prop =
+  QCheck.Test.make ~name:"codec: request_wire_size = length of encode_request" ~count:300
+    (QCheck.make (fst wire_size_gens))
+    (fun r -> Codec.request_wire_size r = String.length (Codec.encode_request r))
+
+let wire_size_response_prop =
+  QCheck.Test.make ~name:"codec: response_wire_size = length of encode_response" ~count:300
+    (QCheck.make (snd wire_size_gens))
+    (fun r -> Codec.response_wire_size r = String.length (Codec.encode_response r))
+
 let suite =
   [
     Alcotest.test_case "method: roundtrip" `Quick test_method_roundtrip;
@@ -420,4 +465,6 @@ let suite =
     Alcotest.test_case "range: parse" `Quick test_range_parse;
     Alcotest.test_case "range: resolve" `Quick test_range_resolve;
     Alcotest.test_case "range: apply to a response" `Quick test_range_apply;
+    QCheck_alcotest.to_alcotest wire_size_request_prop;
+    QCheck_alcotest.to_alcotest wire_size_response_prop;
   ]
