@@ -86,6 +86,24 @@ let decode_response s =
         | _, Error e -> Error e)
       | _ -> Error ("malformed status line: " ^ status_line)))
 
-let request_wire_size r = String.length (encode_request r)
+(* The sizes follow the encoders above byte for byte without building
+   the message: "k: v\r\n" per header, "\r\n" after the headers, then
+   the body. *)
+let headers_wire_size headers =
+  Headers.fold (fun k v n -> n + String.length k + String.length v + 4) headers 2
 
-let response_wire_size r = String.length (encode_response r)
+let decimal_length n =
+  let rec go n digits = if n > -10 && n < 10 then digits else go (n / 10) (digits + 1) in
+  go n (if n < 0 then 2 else 1)
+
+(* "METHOD URL HTTP/1.1\r\n" *)
+let request_wire_size (r : Message.request) =
+  String.length (Method_.to_string r.meth)
+  + String.length (Url.to_string r.url)
+  + 12 + headers_wire_size r.headers + Body.length r.body
+
+(* "HTTP/1.1 CODE REASON\r\n" *)
+let response_wire_size (r : Message.response) =
+  12 + decimal_length r.status
+  + String.length (Status.reason r.status)
+  + headers_wire_size r.resp_headers + Body.length r.resp_body
