@@ -99,27 +99,29 @@ let scored_for_client t client =
 let pick t ?(spread = 1) ~rng ~client () =
   (* A crashed proxy must not receive redirections, whatever its last
      load report said. *)
-  let scored =
-    List.filter
-      (fun (_, p) -> not (Nk_sim.Net.host_down t.net p))
-      (scored_for_client t client)
-  in
-  match scored with
+  let down (_, p) = Nk_sim.Net.host_down t.net p in
+  let rec live = function c :: rest when down c -> live rest | l -> l in
+  match live (scored_for_client t client) with
   | [] -> None
-  | scored ->
+  | (best, _) :: _ as scored ->
     (* "Close-by": only proxies comparable to the nearest count as
        spread candidates, so load balancing never sends a client across
-       the world. *)
-    let best = match scored with (s, _) :: _ -> s | [] -> 0.0 in
-    let close = List.filter (fun (s, _) -> s <= (best *. 2.0) +. 1e-4) scored in
-    (* Clamp the spread to the candidates actually registered and close
-       enough — a spread of 4 over 2 proxies is a spread of 2. *)
-    let k = max 1 (min spread (List.length close)) in
-    let nearest = List.filteri (fun i _ -> i < k) close in
+       the world. [scored] is sorted by estimate, so the close live
+       proxies are a prefix of the live ones: the walk stops at the
+       first live proxy past the bound, or once it holds [spread]
+       candidates (a spread of 4 over 2 close proxies is a spread of
+       2). *)
+    let bound = (best *. 2.0) +. 1e-4 in
+    let rec nearest k = function
+      | [] -> []
+      | c :: rest when down c -> nearest k rest
+      | (s, p) :: rest ->
+        if k = 0 || not (s <= bound) then [] else p :: nearest (k - 1) rest
+    in
     (* Weighted choice by reported headroom: among equally close nodes,
        an idle one draws proportionally more clients than one shedding
        half its arrivals. *)
-    let weighted = List.map (fun (_, p) -> (headroom t p, p)) nearest in
+    let weighted = List.map (fun p -> (headroom t p, p)) (nearest (max 1 spread) scored) in
     let total = List.fold_left (fun acc (w, _) -> acc +. w) 0.0 weighted in
     let roll = Nk_util.Prng.float rng total in
     let rec choose acc = function
