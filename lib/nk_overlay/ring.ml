@@ -70,8 +70,18 @@ let successors t key ~k =
     in
     collect [ owner ] owner (min k t.size - 1)
 
+(* The member strictly counter-clockwise before [key] (wrapping). *)
+let predecessor t key =
+  match S.find_last_opt (fun x -> Node_id.compare x key < 0) t.members with
+  | Some _ as p -> p
+  | None -> S.max_elt_opt t.members
+
 (* The finger of [node] for exponent [i]: successor(node + 2^i). *)
 let finger t node i = successor t (Node_id.add_pow2 node i)
+
+let floor_log2 x =
+  let rec go x i = if x <= 1 then i else go (x lsr 1) (i + 1) in
+  go x 0
 
 let lookup_path t ~from ~key =
   match successor t key with
@@ -79,24 +89,32 @@ let lookup_path t ~from ~key =
   | Some owner ->
     if Node_id.equal owner from then []
     else begin
-      (* Greedy: repeatedly jump to the finger that gets closest to the
-         key without overshooting its successor; fall back to the
-         immediate successor, guaranteeing progress. *)
+      (* Greedy: jump to the finger that gets closest to the key without
+         reaching it, i.e. the one with the largest exponent [i] that
+         lies in (current, key); with no such finger, go to the owner.
+         For a member [current], finger [i] lies in that interval
+         exactly when 2^i <= d(current, q), where [q] is the key's
+         predecessor, so [i] is the floor of that distance's log2. A
+         [current] outside the ring (only ever [from]) is the one case
+         where a finger can wrap past it: its top finger is then its own
+         successor, which wins whenever it lies in the interval. *)
+      let q = Option.get (predecessor t key) in
+      let inside current f =
+        let d = Node_id.distance current f in
+        d > 0 && d < Node_id.distance current key
+      in
+      let hop current =
+        match if mem t current then None else finger t current 61 with
+        | Some f when inside current f -> f
+        | _ ->
+          if inside current q then
+            Option.get (finger t current (floor_log2 (Node_id.distance current q)))
+          else owner
+      in
       let rec route current acc guard =
         if Node_id.equal current owner || guard = 0 then List.rev acc
         else begin
-          let best = ref None in
-          for i = 61 downto 0 do
-            if !best = None then
-              match finger t current i with
-              | Some f
-                when (not (Node_id.equal f current))
-                     && Node_id.distance current f < Node_id.distance current key
-                     && Node_id.distance current f > 0 ->
-                best := Some f
-              | _ -> ()
-          done;
-          let next = match !best with Some f -> f | None -> owner in
+          let next = hop current in
           route next (next :: acc) (guard - 1)
         end
       in
