@@ -35,6 +35,11 @@ type t = {
   rates : (string, rate) Hashtbl.t; (* key -> decayed request rate *)
   placements : (string, placement) Hashtbl.t; (* key -> sloppy copies *)
   rng : Nk_util.Prng.t; (* replica placement; seeded for determinism *)
+  mutable swept_at : float;
+      (* When the last sweep ran, or nan once a rate, placement or the
+         hotspot config changed after it. Every node's sweeper shares
+         this index, so one instant sees many sweeps: all but the first
+         would find nothing to drop. *)
 }
 
 let create ?(values_per_key = 16) ?(replicas = 2) ?(seed = 0x5107) () =
@@ -42,7 +47,7 @@ let create ?(values_per_key = 16) ?(replicas = 2) ?(seed = 0x5107) () =
     names = Hashtbl.create 16; values_per_key; replicas; live = (fun _ -> true);
     metrics = Nk_telemetry.Metrics.create (); hotspot = None;
     rates = Hashtbl.create 16; placements = Hashtbl.create 16;
-    rng = Nk_util.Prng.create seed }
+    rng = Nk_util.Prng.create seed; swept_at = nan }
 
 let ring t = t.ring
 
@@ -55,7 +60,8 @@ let set_hotspots t ?(halflife = 10.) ~threshold ~replicas ~ttl () =
   if replicas < 1 then invalid_arg "Dht.set_hotspots: replicas must be >= 1";
   if ttl <= 0. then invalid_arg "Dht.set_hotspots: ttl must be > 0";
   if halflife <= 0. then invalid_arg "Dht.set_hotspots: halflife must be > 0";
-  t.hotspot <- Some { threshold; hot_replicas = replicas; hot_ttl = ttl; halflife }
+  t.hotspot <- Some { threshold; hot_replicas = replicas; hot_ttl = ttl; halflife };
+  t.swept_at <- nan
 
 let join t name =
   match Hashtbl.find_opt t.ids name with
@@ -127,6 +133,7 @@ let decayed_score r ~now ~halflife =
 let score_to_rate score ~halflife = score *. log 2. /. halflife
 
 let note_request t cfg ~now key =
+  t.swept_at <- nan;
   let r =
     match Hashtbl.find_opt t.rates key with
     | Some r -> r
@@ -146,7 +153,8 @@ let drop_placement t key p =
       | None -> ()
       | Some store -> Hashtbl.remove store key)
     p.holders;
-  Hashtbl.remove t.placements key
+  Hashtbl.remove t.placements key;
+  t.swept_at <- nan
 
 let active_placement t ~now key =
   match Hashtbl.find_opt t.placements key with
@@ -164,6 +172,7 @@ let active_placement t ~now key =
 let sweep t ~now =
   match t.hotspot with
   | None -> ()
+  | Some _ when now = t.swept_at -> ()
   | Some cfg ->
     let stale =
       Hashtbl.fold
@@ -183,7 +192,8 @@ let sweep t ~now =
     in
     List.iter (Hashtbl.remove t.rates) cold;
     Nk_telemetry.Metrics.set_gauge t.metrics "dht.hotspots"
-      (float_of_int (Hashtbl.length t.placements))
+      (float_of_int (Hashtbl.length t.placements));
+    t.swept_at <- now
 
 (* Place sloppy copies of [key]'s announcements on up to
    [cfg.hot_replicas] random live nodes drawn from the tail of the
@@ -213,6 +223,7 @@ let place_replicas t cfg ~now ~key ~owner ~path =
       List.iter (fun holder -> store_entries t holder key entries) holders;
       Hashtbl.replace t.placements key
         { holders; placed_expiry = now +. cfg.hot_ttl };
+      t.swept_at <- nan;
       Nk_telemetry.Metrics.incr t.metrics "dht.hotspot_replications";
       Nk_telemetry.Metrics.set_gauge t.metrics "dht.hotspots"
         (float_of_int (Hashtbl.length t.placements))
