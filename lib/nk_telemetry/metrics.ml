@@ -1,8 +1,11 @@
 type labels = (string * string) list
 
 (* Labels are normalized (sorted by key) so ["a",1;"b",2] and
-   ["b",2;"a",1] address the same instrument. *)
-let normalize labels = List.sort (fun (a, _) (b, _) -> compare a b) labels
+   ["b",2;"a",1] address the same instrument. Most instruments carry no
+   label or one, which are sorted already. *)
+let normalize = function
+  | ([] | [ _ ]) as labels -> labels
+  | labels -> List.sort (fun (a, _) (b, _) -> compare a b) labels
 
 type key = { name : string; labels : labels }
 
