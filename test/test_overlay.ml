@@ -626,6 +626,172 @@ let test_hotspot_crashed_holder_falls_back () =
   done;
   ignore hits_before
 
+(* {1 Differentials against the pre-optimization overlay}
+
+   [Ring.lookup_path] used to probe all 62 fingers per hop, and
+   [Redirector.pick] used to filter the whole proxy list twice. Both are
+   kept here verbatim (over the public API) as references: the faster
+   versions must agree exactly, down to the next random draw. *)
+
+let ref_lookup_path r ~from ~key =
+  let finger node i = Ring.successor r (Node_id.add_pow2 node i) in
+  match Ring.successor r key with
+  | None -> []
+  | Some owner ->
+    if Node_id.equal owner from then []
+    else begin
+      let rec route current acc guard =
+        if Node_id.equal current owner || guard = 0 then List.rev acc
+        else begin
+          let best = ref None in
+          for i = 61 downto 0 do
+            if !best = None then
+              match finger current i with
+              | Some f
+                when (not (Node_id.equal f current))
+                     && Node_id.distance current f < Node_id.distance current key
+                     && Node_id.distance current f > 0 ->
+                best := Some f
+              | _ -> ()
+          done;
+          let next = match !best with Some f -> f | None -> owner in
+          route next (next :: acc) (guard - 1)
+        end
+      in
+      route from [] (Ring.size r + 64)
+    end
+
+let ring_lookup_path_matches_scan_prop =
+  QCheck.Test.make ~name:"ring: lookup_path matches the 62-finger scan (1-512 nodes)"
+    ~count:80
+    (* Tiny rings are where a finger from outside the ring wraps. *)
+    QCheck.(pair (oneof [ int_range 1 4; int_range 1 512 ]) small_nat)
+    (fun (n, seed) ->
+      let rng = Core.Util.Prng.create seed in
+      let r = Ring.create () in
+      let ids =
+        Array.init n (fun i -> Node_id.of_string (Printf.sprintf "lp-%d-%d" seed i))
+      in
+      Array.iter (Ring.join r) ids;
+      let shifted id d =
+        let x = Node_id.to_int id + d in
+        if x < 0 then Node_id.of_int 0 else Node_id.of_int x
+      in
+      let keys =
+        List.concat
+          (List.init 12 (fun i ->
+               let m = Core.Util.Prng.pick rng ids in
+               [ Node_id.of_string (Printf.sprintf "lp-key-%d-%d" seed i); m;
+                 shifted m 1; shifted m (-1) ]))
+      in
+      (* Members, plus a few ids outside the ring. *)
+      let froms =
+        List.init 6 (fun _ -> Core.Util.Prng.pick rng ids)
+        @ List.init 2 (fun i -> Node_id.of_string (Printf.sprintf "lp-outside-%d-%d" seed i))
+      in
+      List.for_all
+        (fun from ->
+          List.for_all
+            (fun key ->
+              List.equal Node_id.equal (Ring.lookup_path r ~from ~key)
+                (ref_lookup_path r ~from ~key))
+            keys)
+        froms)
+
+let ref_pick net red ~spread ~rng ~client =
+  let scored =
+    List.map
+      (fun p -> (Core.Sim.Net.transfer_time_estimate net ~src:client ~dst:p ~size:1024, p))
+      (Redirector.proxies red)
+    |> List.sort (fun (a, _) (b, _) -> compare a b)
+  in
+  (* Reports never go stale here (default staleness bound). *)
+  let headroom host =
+    match Redirector.health red ~host:(Core.Sim.Net.host_name host) with
+    | None -> 1.0
+    | Some h ->
+      let delay_factor = 1.0 /. (1.0 +. (h.Redirector.queue_delay /. 0.1)) in
+      let shed_factor = 1.0 -. Float.min 0.95 h.Redirector.shed_rate in
+      Float.max 0.02 (delay_factor *. shed_factor)
+  in
+  let scored = List.filter (fun (_, p) -> not (Core.Sim.Net.host_down net p)) scored in
+  match scored with
+  | [] -> None
+  | scored ->
+    let best = match scored with (s, _) :: _ -> s | [] -> 0.0 in
+    let close = List.filter (fun (s, _) -> s <= (best *. 2.0) +. 1e-4) scored in
+    let k = max 1 (min spread (List.length close)) in
+    let nearest = List.filteri (fun i _ -> i < k) close in
+    let weighted = List.map (fun (_, p) -> (headroom p, p)) nearest in
+    let total = List.fold_left (fun acc (w, _) -> acc +. w) 0.0 weighted in
+    let roll = Core.Util.Prng.float rng total in
+    let rec choose acc = function
+      | [] -> None
+      | [ (_, p) ] -> Some p
+      | (w, p) :: rest -> if roll < acc +. w then Some p else choose (acc +. w) rest
+    in
+    choose 0.0 weighted
+
+let redirector_pick_matches_filters_prop =
+  QCheck.Test.make ~name:"redirector: pick matches the two-filter pick and its draws"
+    ~count:100
+    QCheck.(triple (int_range 1 40) (int_range 1 5) small_nat)
+    (fun (n, spread, seed) ->
+      let rng = Core.Util.Prng.create seed in
+      let sim = Core.Sim.Sim.create () in
+      let net = Core.Sim.Net.create sim () in
+      let plan = Core.Faults.Plan.create () in
+      Core.Sim.Net.set_faults net plan;
+      let red = Redirector.create net in
+      let client = Core.Sim.Net.add_host net ~name:"c" () in
+      (* Few distinct latencies, so ties and the close-by bound both
+         matter. *)
+      let latencies = [| 0.005; 0.0051; 0.01; 0.02; 0.05; 0.2 |] in
+      for i = 0 to n - 1 do
+        let name = Printf.sprintf "p%d" i in
+        let p = Core.Sim.Net.add_host net ~name () in
+        Core.Sim.Net.connect net client p ~latency:(Core.Util.Prng.pick rng latencies)
+          ~bandwidth:1e7;
+        Redirector.add_proxy red p;
+        if Core.Util.Prng.int rng 3 = 0 then
+          Core.Faults.Plan.crash plan ~host:name ~at:(Core.Sim.Sim.now sim) ();
+        if Core.Util.Prng.bool rng then
+          Redirector.report red ~host:name
+            ~queue_delay:(Core.Util.Prng.float rng 0.5)
+            ~shed_rate:(Core.Util.Prng.float rng 1.0) ()
+      done;
+      let a = Core.Util.Prng.create (seed + 1) and b = Core.Util.Prng.create (seed + 1) in
+      List.for_all
+        (fun _ ->
+          let name = Option.map Core.Sim.Net.host_name in
+          name (Redirector.pick red ~spread ~rng:a ~client ())
+          = name (ref_pick net red ~spread ~rng:b ~client)
+          && Core.Util.Prng.float a 1.0 = Core.Util.Prng.float b 1.0)
+        (List.init 20 Fun.id))
+
+let test_dht_same_instant_sweep_prunes_new_rate () =
+  (* With threshold/100 above ln2/halflife, a key's first request leaves
+     a rate entry that is cold at once. A sweep at the same instant as
+     an earlier one must still prune it: otherwise its score carries
+     into the next 100 requests, pushing the key to 101 and over the
+     threshold (7 req/s needs a score of 7 * 10 / ln 2 = 100.99). *)
+  let dht = Dht.create () in
+  List.iter (fun n -> ignore (Dht.join dht n)) [ "a"; "b"; "c" ];
+  Dht.set_hotspots dht ~halflife:10.0 ~threshold:7.0 ~replicas:1 ~ttl:30.0 ();
+  let key = "GET http://sweep.example/k" in
+  ignore (Dht.put dht ~now:5.0 ~from:"a" ~key ~value:"v" ~ttl:60.0);
+  Dht.sweep dht ~now:5.0;
+  ignore (Dht.get dht ~now:5.0 ~from:"b" ~key);
+  Dht.sweep dht ~now:5.0;
+  for _ = 1 to 100 do
+    ignore (Dht.get dht ~now:5.0 ~from:"b" ~key)
+  done;
+  Alcotest.(check (list string)) "not hot: the first request's entry was pruned" []
+    (List.map fst (Dht.hotspots dht ~now:5.0));
+  ignore (Dht.get dht ~now:5.0 ~from:"b" ~key);
+  Alcotest.(check (list string)) "hot at 101 requests" [ key ]
+    (List.map fst (Dht.hotspots dht ~now:5.0))
+
 let suite =
   [
     Alcotest.test_case "node ids are deterministic" `Quick test_node_id_deterministic;
@@ -673,4 +839,8 @@ let suite =
       test_hotspot_replicas_expire;
     Alcotest.test_case "hotspot: crashed holders fall back to the owner (chaos plan)" `Quick
       test_hotspot_crashed_holder_falls_back;
+    QCheck_alcotest.to_alcotest ring_lookup_path_matches_scan_prop;
+    QCheck_alcotest.to_alcotest redirector_pick_matches_filters_prop;
+    Alcotest.test_case "dht: a same-instant sweep prunes a rate entry made since" `Quick
+      test_dht_same_instant_sweep_prunes_new_rate;
   ]
