@@ -1,7 +1,7 @@
-(* FIPS 180-4. The 32-bit words live in native OCaml ints, masked back to
-   32 bits wherever a sum or left shift can carry past bit 31, so no
-   word is ever boxed; the message schedule is a per-context array
-   reused by every block. *)
+(* FIPS 180-4. The 32-bit words live in native OCaml ints, so no word is
+   ever boxed; a value is masked back to 32 bits before it is stored or
+   shifted right, and intermediate sums may carry garbage above bit 31.
+   The message schedule is a per-context array reused by every block. *)
 
 let k =
   [| 0x428a2f98; 0x71374491; 0xb5c0fbcf; 0xe9b5dba5; 0x3956c25b; 0x59f111f1;
@@ -37,8 +37,10 @@ let init () =
 
 let mask = 0xffffffff
 
-(* [x] must already fit in 32 bits. *)
-let rotr x n = ((x lsr n) lor (x lsl (32 - n))) land mask
+(* Rotate the low 32 bits of [x] (which must fit in 32 bits) right by
+   [n]. Bits above 31 are left as garbage: every rotation below feeds a
+   sum or xor that is masked before anything shifts it right. *)
+let rotr x n = (x lsr n) lor (x lsl (32 - n))
 
 let process_block ctx =
   let w = ctx.w and h = ctx.h in
@@ -62,7 +64,7 @@ let process_block ctx =
   for i = 0 to 63 do
     let e' = !e and a' = !a in
     let s1 = rotr e' 6 lxor rotr e' 11 lxor rotr e' 25 in
-    let ch = e' land !f lxor (lnot e' land mask land !g) in
+    let ch = e' land !f lxor (lnot e' land !g) in
     let temp1 = !hh + s1 + ch + k.(i) + w.(i) in
     let s0 = rotr a' 2 lxor rotr a' 13 lxor rotr a' 22 in
     let maj = a' land !b lxor (a' land !c) lxor (!b land !c) in
