@@ -9,6 +9,8 @@ open Toolkit
 
 let payload_1k = String.init 1024 (fun i -> Char.chr (i mod 256))
 
+let payload_32 = String.sub payload_1k 0 32
+
 (* Table 2 / M1: predicate evaluation, decision trees, script handling. *)
 let policies_100 =
   List.init 100 (fun i ->
@@ -152,6 +154,21 @@ let test_ring_successor =
            (Core.Overlay.Ring.successor ring_1000
               (Core.Overlay.Node_id.of_int (!ring_counter land 0x3fffff)))))
 
+(* Member [from]s and scattered keys: the routing a DHT get or put pays
+   before any storage work. *)
+let ring_1000_ids = Array.of_list (Core.Overlay.Ring.nodes ring_1000)
+
+let test_ring_lookup_path =
+  Test.make ~name:"O9: ring lookup_path (n=1000)"
+    (Staged.stage (fun () ->
+         incr ring_counter;
+         let from = ring_1000_ids.(!ring_counter mod Array.length ring_1000_ids) in
+         let key =
+           Core.Overlay.Node_id.of_int
+             ((!ring_counter * 0x1e3779b97f4a7c15) land 0x3fffffffffffffff)
+         in
+         ignore (Core.Overlay.Ring.lookup_path ring_1000 ~from ~key)))
+
 (* D1: the tail-tolerance fast path — what every request pays once
    deadlines are on (admission + per-hop clamp + expiry check), and
    what every peer fetch pays once hedging is on (token accounting +
@@ -246,6 +263,10 @@ let tests =
              Core.Script.Interp.define_global ctx "Request"
                (Core.Script.Value.native "q" (fun _ _ -> Core.Script.Value.Vnull));
              ignore (Core.Pipeline.Nkp.render ctx "x<?nkp 1 + 1 ?>y")));
+      test_ring_lookup_path;
+      (* A DHT key or compile-cache key: short input, hex output. *)
+      Test.make ~name:"T2/X1: sha256 digest_hex (32 B)"
+        (Staged.stage (fun () -> Core.Crypto.Sha256.digest_hex payload_32));
     ]
 
 let run_tests tests =
