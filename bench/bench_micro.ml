@@ -264,7 +264,7 @@ let tests =
                (Core.Script.Value.native "q" (fun _ _ -> Core.Script.Value.Vnull));
              ignore (Core.Pipeline.Nkp.render ctx "x<?nkp 1 + 1 ?>y")));
       test_ring_lookup_path;
-      (* A DHT key or compile-cache key: short input, hex output. *)
+      (* Short input, hex output: the fixed cost of one digest_hex call. *)
       Test.make ~name:"T2/X1: sha256 digest_hex (32 B)"
         (Staged.stage (fun () -> Core.Crypto.Sha256.digest_hex payload_32));
     ]

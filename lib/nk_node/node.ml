@@ -1450,8 +1450,10 @@ let start_reannouncer t dht =
    lookup of their own key: a crowd that moves on leaves its copies
    pinned on the holders until someone asks again. Sweeping on half
    the placement TTL makes reconvergence a property of the clock, not
-   of lookup luck. Idempotent, so every hotspot-enabled node may run
-   one against the shared index. *)
+   of lookup luck. Every hotspot-enabled node runs one against the
+   shared index, so the sweeps of one instant repeat each other;
+   [Dht.sweep] skips a repeat when no rate or placement has changed
+   since, so the extra ones cost a comparison. *)
 let start_dht_sweeper t dht =
   every t (Float.max 1.0 (t.cfg.Config.hotspot_ttl /. 2.0)) (fun () ->
       Nk_overlay.Dht.sweep dht ~now:(now t))
