@@ -61,7 +61,7 @@ let query_string query =
 
 let to_string t =
   let port = if t.port = 80 then "" else ":" ^ string_of_int t.port in
-  Printf.sprintf "%s://%s%s%s%s" t.scheme t.host port t.path (query_string t.query)
+  String.concat "" [ t.scheme; "://"; t.host; port; t.path; query_string t.query ]
 
 let query_get t k = List.assoc_opt k t.query
 

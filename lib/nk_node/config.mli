@@ -12,7 +12,7 @@ type costs = {
   proxy_base : float; (** per-request proxy handling (cache code path) *)
   cache_hit : float; (** retrieving a resource from the cache (1.1 ms) *)
   context_create : float; (** fresh scripting context (1.5 ms) *)
-  context_reuse : float; (** reusing a pooled context (3 us) *)
+  context_reuse : float; (** reusing a cached stage's context (3 us) *)
   tree_cached : float; (** cached decision tree retrieval (4 us) *)
   parse_base : float; (** parsing+executing an empty script (0.08 ms) *)
   parse_per_byte : float; (** additional parse+exec cost per script byte *)

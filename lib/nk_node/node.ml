@@ -283,16 +283,16 @@ let await_fetch_opt t ~via ~timeout req =
    earns a retry or a stale fallback. *)
 let failed = function None -> true | Some r -> r.Nk_http.Message.status >= 500
 
-let insert_if_cacheable t req resp =
+let insert_if_cacheable t ~key req resp =
   if Nk_http.Message.cacheable req resp then begin
     let expiry = Nk_http.Message.response_expiry ~now:(now t) resp in
-    Nk_cache.Http_cache.insert t.cache ~now:(now t) ~key:(cache_key req) ~expiry resp;
+    Nk_cache.Http_cache.insert t.cache ~now:(now t) ~key ~expiry resp;
     match (expiry, t.dht) with
     | Some expiry, Some dht ->
       let ttl = Float.min t.cfg.Config.dht_ttl (expiry -. now t) in
       if ttl > 0.0 then
         ignore
-          (Nk_overlay.Dht.put dht ~now:(now t) ~from:(name t) ~key:(cache_key req)
+          (Nk_overlay.Dht.put dht ~now:(now t) ~from:(name t) ~key
              ~value:(name t) ~ttl)
     | _ -> ()
   end
@@ -495,7 +495,7 @@ let origin_tier t ?span ?deadline key req =
              | None -> Nk_cache.Http_cache.remove t.cache ~key);
             old
           | _ ->
-            insert_if_cacheable t req resp;
+            insert_if_cacheable t ~key req resp;
             resp)
         | _ -> (
           (* Stale-if-error (RFC 2616 §13.1.5 spirit): when the origin
@@ -645,7 +645,7 @@ let peer_tier t dht ?span ?deadline key req ~from_origin =
           match (resp, t.retry_budget, rest) with
           | Some resp, _, _ ->
             Nk_telemetry.Metrics.incr t.metrics "peer-fetches";
-            insert_if_cacheable t req resp;
+            insert_if_cacheable t ~key req resp;
             resp
           (* Trying the next candidate is a retry of the upstream class:
              under a retry budget it must find a token, or the chain
@@ -1167,8 +1167,6 @@ let falsify t resp =
 
 (* --- computation diffusion (C3PO over the health plane) --------------- *)
 
-let site_script_url site = Printf.sprintf "http://%s/nakika.js" site
-
 (* The stage-status lookup: the name of the work this site's requests
    would run, offloadable only once known locally. [Some hash] when the
    stage is cached (a previous request warmed it), [Some ""] when the
@@ -1176,7 +1174,7 @@ let site_script_url site = Printf.sprintf "http://%s/nakika.js" site
    we have never looked — the first request must execute here and warm
    the caches. *)
 let offload_hash t site =
-  let url = site_script_url site in
+  let url = Nk_pipeline.Pipeline.site_script_url site in
   match Nk_cache.Memo_cache.find t.stage_cache ~now:(now t) url with
   | Some entry -> Some entry.hash
   | None when Nk_cache.Memo_cache.find t.negative ~now:(now t) url <> None -> Some ""
@@ -1283,7 +1281,7 @@ let attempt_offload t ~site ~plan:(d, p, script_hash, target) ?deadline req k ~f
    cothread (the hash-miss path awaits a bounded origin fetch). *)
 let resolve_offload_stage t (env : Nk_diffusion.Offload.request_envelope) =
   let site = env.Nk_diffusion.Offload.site in
-  let url = site_script_url site in
+  let url = Nk_pipeline.Pipeline.site_script_url site in
   match (env.Nk_diffusion.Offload.script_hash, offload_hash t site) with
   | "", None ->
     (* The sender knows the site publishes no script; spare the pipeline
@@ -1312,7 +1310,7 @@ let resolve_offload_stage t (env : Nk_diffusion.Offload.request_envelope) =
         await_fetch_opt t ~via:None ~timeout:t.cfg.Config.diffusion_fetch_timeout req
       with
       | Some resp when Nk_http.Status.is_success resp.Nk_http.Message.status ->
-        insert_if_cacheable t req resp
+        insert_if_cacheable t ~key:(cache_key req) req resp
       | _ -> ()))
 
 let handle_offload_request t d ~payload =
@@ -1415,7 +1413,7 @@ let handle t (req : Nk_http.Message.request) k =
    escalating, decaying ban window — repeat offenders wait longer,
    reformed ones recover. *)
 let terminate_site ~stage_cache ~quarantine ~now ~site =
-  let url = site_script_url site in
+  let url = Nk_pipeline.Pipeline.site_script_url site in
   (match Nk_cache.Memo_cache.find stage_cache ~now url with
    | Some entry when entry.site = site ->
      Nk_script.Interp.kill (Nk_pipeline.Stage.context entry.stage);

@@ -15,11 +15,14 @@ let well_known_client_wall = "http://nakika.net/clientwall.js"
 
 let well_known_server_wall = "http://nakika.net/serverwall.js"
 
-let site_script_url (req : Nk_http.Message.request) =
-  Printf.sprintf "http://%s/nakika.js" (Nk_http.Url.site req.Nk_http.Message.url)
+let site_script_url site = "http://" ^ site ^ "/nakika.js"
 
-let default_stages req =
-  [ well_known_client_wall; site_script_url req; well_known_server_wall ]
+let default_stages (req : Nk_http.Message.request) =
+  [
+    well_known_client_wall;
+    site_script_url (Nk_http.Url.site req.Nk_http.Message.url);
+    well_known_server_wall;
+  ]
 
 (* A handler may also *return* a response object instead of calling
    Request.respond — "the onRequest event handler ... returns either a

@@ -32,9 +32,9 @@ val well_known_client_wall : string
 
 val well_known_server_wall : string
 
-val site_script_url : Nk_http.Message.request -> string
+val site_script_url : string -> string
 (** "http://<site>/nakika.js" — the robots.txt-style per-site policy
-    location. *)
+    location of a site ({!Nk_http.Url.site}). *)
 
 val default_stages : Nk_http.Message.request -> string list
 (** The three default stages in pop order: client wall, site script,

@@ -15,10 +15,9 @@
       numbers, termination points, and every seed bench figure depend
       on the charges, so each compiled closure performs the same
       [charge_fuel]/[charge_alloc] calls, in the same order, as the
-      tree-walker visiting the same nodes. Constant folding keeps this
-      by recording the charge trace the tree-walker would have emitted
-      and replaying it (unit fuel steps, so even exhaustion mid-fold
-      raises at the identical counter value).
+      tree-walker visiting the same nodes. A literal operand is a node
+      like any other and charges its one unit, so even exhaustion
+      mid-expression raises at the identical counter value.
 
    2. Compiled programs are context-independent: the same [program] can
       execute in any number of scripting contexts, which is what lets
@@ -52,8 +51,8 @@ type cexpr = rt -> Value.t
 type cstmt = rt -> unit
 
 (* Marks a slot whose declaration has not executed yet; compared with
-   physical equality and never visible to scripts. Lives in [Value] so
-   the per-context frame arena can wipe recycled frames with it. *)
+   physical equality and never visible to scripts. Lives in [Value]
+   because unbound global cells are tombstoned with it too. *)
 let undeclared = Value.undeclared
 
 let rec frame_at frames d =
@@ -260,55 +259,6 @@ let specialize_binop (op : Ast.binop) : Value.ctx -> Value.t -> Value.t -> Value
   | Ast.Bxor -> fun _ a b -> Vnum (float_of_int (to_int a lxor to_int b))
   | Ast.Shl -> fun _ a b -> Vnum (float_of_int (to_int a lsl (to_int b land 31)))
   | Ast.Shr -> fun _ a b -> Vnum (float_of_int (to_int a asr (to_int b land 31)))
-
-(* --- frame escape analysis -------------------------------------------- *)
-
-(* A call frame can be recycled iff nothing can capture it. Closures
-   are the only capture vector — [Func]/[Sfunc] close over [rt.frames],
-   which includes every enclosing frame — so any function node
-   *syntactically* inside the body pins the frame. The scan stops at
-   [Func] boundaries: a deeper literal is already inside one. *)
-let rec expr_has_func (e : Ast.expr) =
-  match e.Ast.desc with
-  | Ast.Func _ -> true
-  | Ast.Undefined | Ast.Null | Ast.Bool _ | Ast.Number _ | Ast.String _ | Ast.This
-  | Ast.Ident _ ->
-    false
-  | Ast.Array_lit es -> List.exists expr_has_func es
-  | Ast.Object_lit fs -> List.exists (fun (_, fe) -> expr_has_func fe) fs
-  | Ast.Member (o, _) | Ast.Delete (o, _) -> expr_has_func o
-  | Ast.Index (a, b) -> expr_has_func a || expr_has_func b
-  | Ast.Call (f, args) | Ast.New (f, args) ->
-    expr_has_func f || List.exists expr_has_func args
-  | Ast.Assign (lv, _, e) -> lvalue_has_func lv || expr_has_func e
-  | Ast.Unop (_, a) -> expr_has_func a
-  | Ast.Binop (_, a, b) | Ast.Logical (_, a, b) -> expr_has_func a || expr_has_func b
-  | Ast.Cond (a, b, c) -> expr_has_func a || expr_has_func b || expr_has_func c
-  | Ast.Incr (_, lv) | Ast.Decr (_, lv) -> lvalue_has_func lv
-
-and lvalue_has_func = function
-  | Ast.Lident _ -> false
-  | Ast.Lmember (o, _) -> expr_has_func o
-  | Ast.Lindex (a, b) -> expr_has_func a || expr_has_func b
-
-and stmt_has_func (s : Ast.stmt) =
-  match s.Ast.sdesc with
-  | Ast.Sfunc _ -> true
-  | Ast.Sexpr e | Ast.Sthrow e -> expr_has_func e
-  | Ast.Svar bs -> List.exists (fun (_, init) -> Option.fold ~none:false ~some:expr_has_func init) bs
-  | Ast.Sif (c, a, b) ->
-    expr_has_func c || List.exists stmt_has_func a || List.exists stmt_has_func b
-  | Ast.Swhile (c, b) | Ast.Sdo_while (b, c) -> expr_has_func c || List.exists stmt_has_func b
-  | Ast.Sfor (i, c, st, b) ->
-    Option.fold ~none:false ~some:stmt_has_func i
-    || Option.fold ~none:false ~some:expr_has_func c
-    || Option.fold ~none:false ~some:expr_has_func st
-    || List.exists stmt_has_func b
-  | Ast.Sfor_in (_, e, b) -> expr_has_func e || List.exists stmt_has_func b
-  | Ast.Sreturn e -> Option.fold ~none:false ~some:expr_has_func e
-  | Ast.Sbreak | Ast.Scontinue -> false
-  | Ast.Sblock b -> List.exists stmt_has_func b
-  | Ast.Stry (b, _, h) -> List.exists stmt_has_func b || List.exists stmt_has_func h
 
 (* break/continue elision: a loop needs its Break_exc (resp. the body
    its Continue_exc) handler only if the statement appears
@@ -550,95 +500,6 @@ let run_decl decl rt v =
   | Dslot s -> (List.hd rt.frames).(s) <- v
   | Dglobal n -> scope_bind rt.globals n v
 
-(* --- constant folding ------------------------------------------------ *)
-
-(* A folded subtree must still charge what the tree-walker charges. The
-   fold therefore records the exact trace — one [Cfuel] per node visit,
-   one [Calloc] per allocating operation, in evaluation order — and the
-   compiled closure replays it. Fuel replays as unit steps so a limit
-   crossed mid-subtree raises at the identical [fuel_used]. *)
-type charge = Cfuel | Calloc of Value.t
-
-let pure_unop op v =
-  match op with
-  | Ast.Not -> Vbool (not (truthy v))
-  | Ast.Neg -> Vnum (-.to_number v)
-  | Ast.Bnot -> Vnum (float_of_int (lnot (to_int v)))
-  | Ast.Typeof -> Vstr (type_name v)
-
-let pure_compare a b test =
-  match (a, b) with
-  | Vstr x, Vstr y -> Vbool (test (String.compare x y))
-  | _ ->
-    let x = to_number a and y = to_number b in
-    if Float.is_nan x || Float.is_nan y then Vbool false else Vbool (test (Float.compare x y))
-
-(* Mirrors [Interp.eval_binop] on primitive operands, reporting the
-   allocation charge instead of performing it. *)
-let pure_binop op a b : Value.t * charge list =
-  match op with
-  | Ast.Add -> (
-    match (a, b) with
-    | Vstr _, _ | _, Vstr _ ->
-      let v = Vstr (to_string a ^ to_string b) in
-      (v, [ Calloc v ])
-    | _ -> (Vnum (to_number a +. to_number b), []))
-  | Ast.Sub -> (Vnum (to_number a -. to_number b), [])
-  | Ast.Mul -> (Vnum (to_number a *. to_number b), [])
-  | Ast.Div -> (Vnum (to_number a /. to_number b), [])
-  | Ast.Mod -> (Vnum (Float.rem (to_number a) (to_number b)), [])
-  | Ast.Eq -> (Vbool (equal a b), [])
-  | Ast.Neq -> (Vbool (not (equal a b)), [])
-  | Ast.Lt -> (pure_compare a b (fun c -> c < 0), [])
-  | Ast.Le -> (pure_compare a b (fun c -> c <= 0), [])
-  | Ast.Gt -> (pure_compare a b (fun c -> c > 0), [])
-  | Ast.Ge -> (pure_compare a b (fun c -> c >= 0), [])
-  | Ast.Band -> (Vnum (float_of_int (to_int a land to_int b)), [])
-  | Ast.Bor -> (Vnum (float_of_int (to_int a lor to_int b)), [])
-  | Ast.Bxor -> (Vnum (float_of_int (to_int a lxor to_int b)), [])
-  | Ast.Shl -> (Vnum (float_of_int (to_int a lsl (to_int b land 31))), [])
-  | Ast.Shr -> (Vnum (float_of_int (to_int a asr (to_int b land 31))), [])
-
-let rec fold (e : Ast.expr) : (Value.t * charge list) option =
-  let lit v = Some (v, [ Cfuel ]) in
-  match e.Ast.desc with
-  | Ast.Undefined -> lit Vundefined
-  | Ast.Null -> lit Vnull
-  | Ast.Bool b -> lit (Vbool b)
-  | Ast.Number n -> lit (Vnum n)
-  | Ast.String s -> lit (Vstr s)
-  | Ast.Unop (op, a) -> Option.map (fun (va, ca) -> (pure_unop op va, Cfuel :: ca)) (fold a)
-  | Ast.Binop (op, a, b) -> (
-    match (fold a, fold b) with
-    | Some (va, ca), Some (vb, cb) ->
-      let v, extra = pure_binop op va vb in
-      Some (v, (Cfuel :: ca) @ cb @ extra)
-    | _ -> None)
-  | Ast.Logical (Ast.And, a, b) -> (
-    match fold a with
-    | Some (va, ca) when truthy va ->
-      Option.map (fun (vb, cb) -> (vb, (Cfuel :: ca) @ cb)) (fold b)
-    | Some (va, ca) -> Some (va, Cfuel :: ca)
-    | None -> None)
-  | Ast.Logical (Ast.Or, a, b) -> (
-    match fold a with
-    | Some (va, ca) when truthy va -> Some (va, Cfuel :: ca)
-    | Some (_, ca) -> Option.map (fun (vb, cb) -> (vb, (Cfuel :: ca) @ cb)) (fold b)
-    | None -> None)
-  | Ast.Cond (c, t, f) -> (
-    match fold c with
-    | Some (vc, cc) ->
-      Option.map
-        (fun (vb, cb) -> (vb, (Cfuel :: cc) @ cb))
-        (fold (if truthy vc then t else f))
-    | None -> None)
-  | _ -> None
-
-let replay_charges ctx charges =
-  List.iter
-    (function Cfuel -> I.charge_fuel ctx 1 | Calloc v -> I.charge_alloc ctx v)
-    charges
-
 (* --- expression compilation ------------------------------------------ *)
 
 type clval = { lread : rt -> Value.t; lwrite : rt -> Value.t -> unit }
@@ -649,41 +510,19 @@ let rec eval_list rt = function
     let v = ce rt in
     v :: eval_list rt tl
 
-let rec compile_expr cenv (e : Ast.expr) : cexpr =
-  match fold e with
-  | Some (v, [ Cfuel ]) ->
-    fun rt ->
-      charge1 rt.ctx;
-      v
-  | Some (v, charges) ->
-    fun rt ->
-      replay_charges rt.ctx charges;
-      v
-  | None -> compile_node cenv e
-
-and compile_node cenv (e : Ast.expr) : cexpr =
+let literal_value (e : Ast.expr) =
   match e.Ast.desc with
-  (* Literals are handled by [fold]; kept for exhaustiveness. *)
-  | Ast.Undefined ->
-    fun rt ->
-      charge1 rt.ctx;
-      Vundefined
-  | Ast.Null ->
-    fun rt ->
-      charge1 rt.ctx;
-      Vnull
-  | Ast.Bool b ->
-    let v = Vbool b in
-    fun rt ->
-      charge1 rt.ctx;
-      v
-  | Ast.Number n ->
-    let v = Vnum n in
-    fun rt ->
-      charge1 rt.ctx;
-      v
-  | Ast.String s ->
-    let v = Vstr s in
+  | Ast.Undefined -> Some Vundefined
+  | Ast.Null -> Some Vnull
+  | Ast.Bool b -> Some (Vbool b)
+  | Ast.Number n -> Some (Vnum n)
+  | Ast.String s -> Some (Vstr s)
+  | _ -> None
+
+let rec compile_expr cenv (e : Ast.expr) : cexpr =
+  match e.Ast.desc with
+  | Ast.Undefined | Ast.Null | Ast.Bool _ | Ast.Number _ | Ast.String _ ->
+    let v = Option.get (literal_value e) in
     fun rt ->
       charge1 rt.ctx;
       v
@@ -887,10 +726,7 @@ and compile_node cenv (e : Ast.expr) : cexpr =
         match resolve cenv name with [ (0, s) ] -> Some (gsite name, s) | _ -> None)
       | _ -> None
     in
-    let const_of e =
-      match fold e with Some (v, [ Cfuel ]) -> Some v | _ -> None
-    in
-    match (slot_of a_e, const_of b_e, slot_of b_e) with
+    match (slot_of a_e, literal_value b_e, slot_of b_e) with
     | Some (ga, sa), Some vb, _ ->
       fun rt -> (
         charge1 rt.ctx;
@@ -917,7 +753,7 @@ and compile_node cenv (e : Ast.expr) : cexpr =
         | [] -> assert false)
     | _ -> (
       let ca = compile_expr cenv a_e in
-      match const_of b_e with
+      match literal_value b_e with
       | Some vb ->
         fun rt ->
           charge1 rt.ctx;
@@ -1259,34 +1095,24 @@ and compile_function cenv ~fname params body : Value.compiled_code =
   let cbody = compile_body (si :: cenv) body in
   let nslots = si.nslots in
   let nparams = Array.length param_slots in
-  let poolable = not (List.exists stmt_has_func body) in
   let ccall ctx ~this ~globals captured args =
     (* The caller ([Interp.apply_fn]) has already charged the 4-unit
        invocation fuel, for script and compiled functions alike. *)
-    let frame =
-      if poolable then frame_acquire ctx nslots else Array.make nslots undeclared
-    in
+    let frame = Array.make nslots undeclared in
     let argv = Array.of_list args in
     let nargs = Array.length argv in
     for i = 0 to nparams - 1 do
       frame.(param_slots.(i)) <- (if i < nargs then argv.(i) else Vundefined)
     done;
     let rt = { ctx; globals; frames = frame :: captured; this } in
-    let result =
-      try
-        cbody rt;
-        Vundefined
-      with
-      | I.Return_exc v -> v
-      (* break/continue must not cross a function boundary *)
-      | I.Break_exc -> error "'break' outside of a loop"
-      | I.Continue_exc -> error "'continue' outside of a loop"
-    in
-    (* Only on normal exits: a propagating exception abandons the
-       frame to the GC rather than risk recycling something a handler
-       still reaches. *)
-    if poolable then frame_release ctx frame;
-    result
+    try
+      cbody rt;
+      Vundefined
+    with
+    | I.Return_exc v -> v
+    (* break/continue must not cross a function boundary *)
+    | I.Break_exc -> error "'break' outside of a loop"
+    | I.Continue_exc -> error "'continue' outside of a loop"
   in
   { cfname = fname; ccall }
 

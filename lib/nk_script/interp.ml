@@ -8,8 +8,6 @@ type ctx = Value.ctx = {
   mutable heap_used : int;
   mutable killed : bool;
   mutable usage_observer : (fuel:int -> heap:int -> unit) option;
-  frame_pool : Value.t array list array;
-  frame_pool_count : int array;
 }
 
 exception Resource_exhausted = Value.Resource_exhausted
@@ -37,8 +35,6 @@ let create ?(max_fuel = 5_000_000) ?(max_heap_bytes = 64 * 1024 * 1024) () =
     heap_used = 0;
     killed = false;
     usage_observer = None;
-    frame_pool = Array.make Value.frame_pool_sizes [];
-    frame_pool_count = Array.make Value.frame_pool_sizes 0;
   }
 
 let define_global ctx name v = scope_bind ctx.globals name v

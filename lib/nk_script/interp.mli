@@ -57,8 +57,8 @@ val fuel_used : ctx -> int
 val heap_used : ctx -> int
 
 val reset_usage : ctx -> unit
-(** Zero the fuel/heap counters (called between requests when a context
-    is reused from the pool). When a usage observer is installed, it is
+(** Zero the fuel/heap counters (called between requests when a node
+    reuses a cached stage's context). When a usage observer is installed, it is
     invoked with the outgoing non-zero counters first. *)
 
 val set_usage_observer : ctx -> (fuel:int -> heap:int -> unit) -> unit

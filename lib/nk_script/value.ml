@@ -80,14 +80,6 @@ and ctx = {
   mutable heap_used : int;
   mutable killed : bool;
   mutable usage_observer : (fuel:int -> heap:int -> unit) option;
-  frame_pool : t array list array;
-  (* Per-context arena of recycled call frames, indexed by slot count:
-     compiled calls to functions whose frame provably cannot escape
-     (no nested function literals or declarations capture it) draw
-     from and return to these free lists instead of allocating. Frames
-     are wiped to [undeclared] on reuse, so no value leaks between
-     requests or sandboxes. *)
-  frame_pool_count : int array;
 }
 (* The sandboxed scripting context. Defined here (rather than in
    [Interp]) so compiled code in [Compile] can close over it; [Interp]
@@ -360,35 +352,13 @@ let alloc_size = function
   | Vfun _ -> 48
   | Vundefined | Vnull | Vbool _ | Vnum _ -> 0
 
-(* --- call-frame arena -------------------------------------------------- *)
+(* --- declaration sentinel ------------------------------------------- *)
 
-(* Marks a frame slot whose declaration has not executed yet; compared
-   with physical equality and never visible to scripts ([Compile]'s
-   temporal-shadowing sentinel). Lives here so the per-context frame
-   arena can wipe recycled frames. *)
+(* Marks a frame slot whose declaration has not executed yet, and a
+   global cell that has been unbound; compared with physical equality
+   and never visible to scripts. Every compiled call starts from a fresh
+   frame filled with it ([Compile]'s temporal-shadowing sentinel). *)
 let undeclared : t = Vstr "<nk-undeclared-slot>"
-
-let frame_pool_sizes = 33 (* pooled frame sizes: 1 .. 32 slots *)
-
-let frame_pool_depth = 16 (* recycled frames kept per size class *)
-
-let frame_acquire ctx n =
-  if n > 0 && n < frame_pool_sizes then
-    match ctx.frame_pool.(n) with
-    | f :: rest ->
-      ctx.frame_pool.(n) <- rest;
-      ctx.frame_pool_count.(n) <- ctx.frame_pool_count.(n) - 1;
-      Array.fill f 0 n undeclared;
-      f
-    | [] -> Array.make n undeclared
-  else Array.make n undeclared
-
-let frame_release ctx f =
-  let n = Array.length f in
-  if n > 0 && n < frame_pool_sizes && ctx.frame_pool_count.(n) < frame_pool_depth then begin
-    ctx.frame_pool.(n) <- f :: ctx.frame_pool.(n);
-    ctx.frame_pool_count.(n) <- ctx.frame_pool_count.(n) + 1
-  end
 
 (* --- scope bindings ---------------------------------------------------- *)
 

@@ -95,9 +95,6 @@ val to_table : t -> string
 (** Human-readable aligned table (counters, gauges, then histograms
     with count/mean/p50/p90/p99/max). *)
 
-val to_json : t -> string
-(** One JSON object: [{"counters":[...],"gauges":[...],"histograms":[...]}]. *)
-
 val to_json_lines : t -> string
 (** One JSON object per instrument per line, each with a ["type"] field
     — the format the bench harness appends to BENCH_<id>.json. *)

@@ -47,7 +47,7 @@ let max_fuel = 20_000
 
 let max_heap = 256_000
 
-let fresh_ctx () =
+let fresh_ctx ?(max_fuel = max_fuel) () =
   let ctx = Interp.create ~max_fuel ~max_heap_bytes:max_heap () in
   Builtins.install ctx;
   ctx
@@ -58,8 +58,8 @@ let result_of f =
   | exception Value.Script_error m -> Error ("script error: " ^ m)
   | exception Interp.Resource_exhausted m -> Error ("exhausted: " ^ m)
 
-let run_with runner input =
-  let ctx = fresh_ctx () in
+let run_with ?max_fuel runner input =
+  let ctx = fresh_ctx ?max_fuel () in
   observe_ctx ctx (result_of (fun () -> runner ctx input))
 
 let show_outcome o =
@@ -67,9 +67,9 @@ let show_outcome o =
     (match o.result with Ok v -> "ok " ^ v | Error e -> "error " ^ e)
     o.fuel o.heap o.globals
 
-let check_differential name source =
-  let reference = run_with Interp.run_string source in
-  let compiled = run_with (fun ctx s -> Compile.run_string ctx s) source in
+let check_differential ?max_fuel name source =
+  let reference = run_with ?max_fuel Interp.run_string source in
+  let compiled = run_with ?max_fuel (fun ctx s -> Compile.run_string ctx s) source in
   Alcotest.(check string) (name ^ ": identical outcome") (show_outcome reference)
     (show_outcome compiled)
 
@@ -529,6 +529,28 @@ let test_fuel_parity_on_handler_apply () =
   Alcotest.(check (float 0.)) "same value" v_ref v_cmp;
   Alcotest.(check int) "same fuel per invocation" fuel_ref fuel_cmp
 
+(* Every fuel limit a run can stop at: exhaustion must strike both
+   evaluators at the same node, with the same counters, whether it lands
+   on a literal operand, mid-call, or in a second call of a function
+   that reads a name before its local [var] runs. *)
+let fuel_sweep_sources =
+  [
+    ("constant folding", List.assoc "constant folding" corpus);
+    ("folded conditional", List.assoc "folded conditional" corpus);
+    ("recursion", {| function fact(n) { if (n <= 1) { return 1; } return n * fact(n - 1); } fact(5) |});
+    ( "second call, read before var",
+      {| var x = 1; function f() { var r = x; var x = 2; return r; } f() + f() |} );
+  ]
+
+let test_fuel_sweep () =
+  List.iter
+    (fun (name, source) ->
+      let full = (run_with Interp.run_string source).fuel in
+      for limit = 1 to full do
+        check_differential ~max_fuel:limit (Printf.sprintf "%s, max_fuel %d" name limit) source
+      done)
+    fuel_sweep_sources
+
 let suite =
   [
     Alcotest.test_case "fixed corpus: compiled = tree-walker" `Quick test_corpus;
@@ -547,4 +569,5 @@ let suite =
       test_invalidate_table_identity;
     Alcotest.test_case "global cells: closure called from another context" `Quick
       test_invalidate_cross_context_closure;
+    Alcotest.test_case "fuel limits from 1 to a full run" `Quick test_fuel_sweep;
   ]

@@ -310,37 +310,6 @@ if (dim.x > 176 || dim.y > 208) {
 w
 |}
 
-let context_pool_reuse () =
-  let made = ref 0 in
-  let pool =
-    Context_pool.create ~capacity:2
-      ~make:(fun () ->
-        incr made;
-        let ctx = Interp.create () in
-        Builtins.install ctx;
-        ctx)
-      ()
-  in
-  let c1 = Context_pool.acquire pool in
-  ignore (Interp.run_string c1 "var x = 1;");
-  Context_pool.release pool c1;
-  let c2 = Context_pool.acquire pool in
-  Alcotest.(check bool) "reused same context" true (c1 == c2);
-  Alcotest.(check int) "one creation" 1 !made;
-  Alcotest.(check int) "reuse counted" 1 (Context_pool.reused pool);
-  Alcotest.(check int) "usage reset on reuse" 0 (Interp.fuel_used c2)
-
-let context_pool_capacity () =
-  let pool = Context_pool.create ~capacity:1 ~make:(fun () -> Interp.create ()) () in
-  let a = Context_pool.acquire pool in
-  let b = Context_pool.acquire pool in
-  Context_pool.release pool a;
-  Context_pool.release pool b (* beyond capacity: dropped *);
-  let c = Context_pool.acquire pool in
-  let d = Context_pool.acquire pool in
-  Alcotest.(check bool) "first from pool" true (c == a);
-  Alcotest.(check bool) "second is fresh" true (d != b)
-
 let interp_numbers_prop =
   QCheck.Test.make ~name:"interp: integer arithmetic matches OCaml" ~count:200
     QCheck.(pair (int_range (-1000) 1000) (int_range (-1000) 1000))
@@ -384,8 +353,6 @@ let suite =
     Alcotest.test_case "apply from OCaml" `Quick test_apply;
     Alcotest.test_case "native functions" `Quick test_native_roundtrip;
     Alcotest.test_case "Fig. 2 handler arithmetic" `Quick test_figure2_transcoding_script;
-    Alcotest.test_case "context pool: reuse" `Quick context_pool_reuse;
-    Alcotest.test_case "context pool: capacity" `Quick context_pool_capacity;
     QCheck_alcotest.to_alcotest interp_numbers_prop;
     QCheck_alcotest.to_alcotest interp_string_concat_prop;
   ]
